@@ -1,15 +1,20 @@
-"""Capacity formulas and optimizers for erasure channels with run-length
-limited inputs.
+"""Capacity formulas and exact solvers for erasure channels with
+run-length limited inputs.
 
 The central object is a k-vector of '0'-probabilities (delta_0, ...,
 delta_{k-1}): delta_j is the chance of transmitting another '0' after j
 consecutive '0's. rate() scores such a vector in bits per channel use,
-delta_chain() generates the unique vector satisfying the stationarity
-identities given its last entry, and feedback_capacity() maximizes over
-that single remaining degree of freedom. grid_max_rate() brute-forces
-the full cube as an independent oracle. Separate entry points cover the
-minimum-run-length family (nc_capacity_d_inf, fb_upper_2inf) and the
-(1,2) constraint (capacity_12, ub_12_two_param).
+and delta_chain() generates the unique vector satisfying the
+stationarity identities given its last entry.
+
+Each capacity is the root of a monotone scalar equation, bisected to
+adjacent floats: feedback_capacity solves C = log2((1-d)/d) in the last
+parameter d (the certificate of its optimum), and nc_capacity_d_inf and
+capacity_12 solve the first-order condition (1-x)^(c+d) = x^c of a
+ratio H2(x) / (c + d*x). fb_upper_2inf runs Dinkelbach's iteration on a
+three-parameter ratio, bisecting the multiplier of its simplex
+constraint. grid_max_rate() and ub_12_two_param() brute-force the same
+objectives as independent oracles.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ class BudgetExceeded(RuntimeError):
     """A grid search was asked for more evaluations than allowed."""
 
 
-_SCAN_POINTS = 2001
+_MAX_STEPS = 200  # caps every solver loop; bisection to a root in [2**-140, 1] needs fewer
 _GRID_BUDGET = 10 ** 8
 _CHUNK_ROWS = 1_000_000
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def h2(p):
@@ -44,6 +48,13 @@ def h2(p):
     q = arr[mask]
     out[mask] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
     return float(out) if arr.ndim == 0 else out
+
+
+def _h2(p):
+    """h2 of one float in [0, 1], without numpy, for the scalar solvers."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
 def _check_eps(epsilon):
@@ -84,7 +95,7 @@ class CapacityResult:
 
 
 def _rate_rows(epsilon, deltas):
-    """Rate of each row of an (n, k) array of parameter vectors."""
+    """Rate of each row of an (n, k) array; the grid oracle's kernel."""
     deltas = np.asarray(deltas, dtype=float)
     eb = 1.0 - epsilon
     n, k = deltas.shape
@@ -103,7 +114,20 @@ def rate(params: SchemeParams) -> float:
     probability that a session reaches run length i without an erasure;
     the denominator is the expected renewal time back to run length 0.
     """
-    return float(_rate_rows(params.epsilon, np.asarray(params.delta)[None, :])[0])
+    return _rate(params.epsilon, params.delta)
+
+
+def _rate(epsilon, delta):
+    """rate() of a sequence of parameters, term by term as in _rate_rows."""
+    eb = 1.0 - epsilon
+    num = tail = 0.0
+    before = 1.0  # prod_{m<i} delta_m
+    for i, d in enumerate(delta, start=1):
+        power = eb ** i
+        num += power * _h2(d) * before
+        before *= d
+        tail += power * before
+    return num / (1.0 + tail)
 
 
 def delta_chain(delta_last, epsilon, k):
@@ -138,21 +162,6 @@ def delta_chain(delta_last, epsilon, k):
     return tuple(out)
 
 
-def _delta_chain_rows(delta_last, epsilon, k):
-    """Vectorized delta_chain for an array of last entries in [0, 1)."""
-    last = np.asarray(delta_last, dtype=float)
-    eb = 1.0 - epsilon
-    out = np.empty((last.size, k))
-    out[:, -1] = last
-    dbar_after = np.ones(last.size)
-    for j in range(k - 2, -1, -1):
-        d_next = out[:, j + 1]
-        dbar_next = 1.0 - d_next
-        out[:, j] = d_next / (d_next + dbar_next * (dbar_next / dbar_after) ** eb)
-        dbar_after = dbar_next
-    return out
-
-
 def stationarity_residual(params: SchemeParams) -> float:
     """Largest violation of the adjacent-parameter identity, in base-2 logs.
 
@@ -178,66 +187,56 @@ def stationarity_residual(params: SchemeParams) -> float:
     return worst
 
 
-def _golden_max(f, lo, hi, tol):
-    """Golden-section maximization of f on [lo, hi]; returns the midpoint."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _bisect(before, lo, hi):
+    """First point past the root of a monotone sign change on [lo, hi].
 
-
-def _scan_then_golden(f, f_rows, lo, hi, tol):
-    """Dense scan over [lo, hi] followed by golden-section refinement.
-
-    Unimodality is not assumed; the scan brackets the global maximum at
-    the grid resolution and golden section only polishes inside the
-    winning bracket. Returns the better of the scan point and the
-    polished point.
+    before(x) is True on the lo side of the root and False from the root
+    on; the bracket ends are assumed to straddle it and are never
+    evaluated. Halves until the midpoint equals an end (adjacent floats)
+    or _MAX_STEPS steps, then returns hi, where before() is False.
     """
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = f_rows(grid)
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-    x = _golden_max(f, a, b, tol) if b > a else float(grid[i])
-    return x if f(x) >= vals[i] else float(grid[i])
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if before(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def feedback_capacity(epsilon: float, k: int, tol: float = 1e-10) -> CapacityResult:
+def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     """Largest achievable rate with output feedback, zero-runs capped at k.
 
     The k-dimensional maximization collapses onto the delta_chain
     manifold (the interior optimum must satisfy the stationarity
-    identities), leaving one degree of freedom: the last parameter,
-    scanned over [0, 1/2] and refined by golden section to bracket
-    width tol.
+    identities), leaving the last parameter d = delta_{k-1}. At the
+    maximum the first-order condition in d reads
+
+        C = rate(delta_chain(d)) = log2((1 - d) / d),
+
+    so d is the root of g(d) = rate(delta_chain(d)) - log2((1-d)/d) on
+    (0, 1/2]: g tends to -inf as d -> 0+ and g(1/2) = rate >= 0, with a
+    single sign change in between (a 4000-point scan finds one at every
+    k and eps tried, k up to 64). d is bisected to adjacent floats;
+    |g(d)| at the returned point is the certificate gap, below 1e-12.
+
+    epsilon = 1 returns exactly 0 with d = 1/2, the limit of the root.
     """
     _check_eps(epsilon)
     _check_k(k)
+    if epsilon == 1.0:
+        return CapacityResult(0.0, SchemeParams(1.0, k, (0.5,) * k), 0.0)
 
-    def f(dl):
-        return float(_rate_rows(epsilon, _delta_chain_rows(np.array([dl]), epsilon, k))[0])
+    def below(d):
+        return _rate(epsilon, delta_chain(d, epsilon, k)) < math.log2((1.0 - d) / d)
 
-    def f_rows(arr):
-        return _rate_rows(epsilon, _delta_chain_rows(arr, epsilon, k))
-
-    best = _scan_then_golden(f, f_rows, 0.0, 0.5, tol)
-    delta = delta_chain(best, epsilon, k)
+    delta = delta_chain(_bisect(below, 0.0, 0.5), epsilon, k)
     params = SchemeParams(epsilon, k, delta)
-    value = rate(params)
     interior = all(0.0 < x < 1.0 for x in delta)
-    residual = stationarity_residual(params) if (k > 1 and interior) else 0.0
-    return CapacityResult(value, params, residual)
+    residual = stationarity_residual(params) if interior else 0.0
+    return CapacityResult(_rate(epsilon, delta), params, residual)
 
 
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
@@ -294,7 +293,19 @@ def grid_max_rate(epsilon: float, k: int, grid_n: int) -> float:
     return grid_argmax_rate(epsilon, k, grid_n)[0]
 
 
-def nc_capacity_d_inf(epsilon: float, d: int, tol: float = 1e-12) -> CapacityResult:
+def _ratio_max(c, d):
+    """Maximizer and maximum of H2(x) / (c + d*x) over x in [0, 1/2], c, d > 0.
+
+    Setting the derivative to zero gives (1-x)^(c+d) = x^c. Its log form
+    (c+d)*ln(1-x) - c*ln(x) is strictly decreasing, +inf at 0+ and
+    d*ln(1/2) < 0 at 1/2, so it has exactly one root there: the
+    maximizer, found by bisection to adjacent floats.
+    """
+    x = _bisect(lambda x: (c + d) * math.log1p(-x) - c * math.log(x) > 0.0, 0.0, 0.5)
+    return x, _h2(x) / (c + d * x)
+
+
+def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     """Capacity with at least d '0's after every '1' and erasure positions
     known ahead of time.
 
@@ -303,7 +314,9 @@ def nc_capacity_d_inf(epsilon: float, d: int, tol: float = 1e-12) -> CapacityRes
     the symbol is a '1'. Maximizing entropy per expected cost over the
     '1'-bias x in [0, 1/2] gives
 
-        max_x H2(x) / (1/(1-eps) + d*x).
+        max_x H2(x) / (c + d*x),   c = 1/(1-eps),
+
+    whose maximizer is the root of (1-x)^(c+d) = x^c (see _ratio_max).
 
     epsilon = 1 returns 0 (the limit value; the cost diverges).
     """
@@ -312,75 +325,80 @@ def nc_capacity_d_inf(epsilon: float, d: int, tol: float = 1e-12) -> CapacityRes
         raise DomainError(f"d must be a positive integer, got {d!r}")
     if epsilon == 1.0:
         return CapacityResult(0.0, SchemeParams(1.0, 1, (0.0,)), 0.0)
-    cost0 = 1.0 / (1.0 - epsilon)
-
-    def f(x):
-        return h2(x) / (cost0 + d * x)
-
-    best = _scan_then_golden(f, f, 0.0, 0.5, tol)
-    return CapacityResult(float(f(best)), SchemeParams(epsilon, 1, (float(best),)), 0.0)
+    x, value = _ratio_max(1.0 / (1.0 - epsilon), d)
+    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0)
 
 
-def fb_upper_2inf(epsilon: float, grid_n: int = 101) -> float:
+def fb_upper_2inf(epsilon: float) -> float:
     """Feedback upper bound for the 'at least two 0s after every 1' family.
 
     Maximizes, over x in [0,1]^3 with x0 + x1 + x2 <= 1,
 
-        (1-eps) * (H2(x0) + eps*H2(x1) + eps^2*H2(x2))
-        -----------------------------------------------------
-        1 + eps + eps^2 + 2*(1-eps)*(x0 + eps*x1 + eps^2*x2)
+        N(x)   (1-eps) * (H2(x0) + eps*H2(x1) + eps^2*H2(x2))
+        ---- = -----------------------------------------------------
+        D(x)   1 + eps + eps^2 + 2*(1-eps)*(x0 + eps*x1 + eps^2*x2)
 
-    by grid scan plus one round of coordinate refinement inside the
-    simplex. The three parameters are the '1'-biases of the output
-    graph nodes that still have an input choice.
+    The three parameters are the '1'-biases of the output graph nodes
+    that still have an input choice.
+
+    The maximum is the root R of the decreasing F(R) = max_x N - R*D.
+    Dinkelbach's iteration R <- N(x)/D(x), with x the maximizer of
+    N - R*D, climbs to it superlinearly from R = 0 and stops once R no
+    longer rises. N - R*D is concave, so that maximizer is the KKT point
+    x_i = 1 / (1 + 2^(2R + mu/((1-eps)*eps^i))), with mu = 0 if that
+    point has sum <= 1 and otherwise the bisected root of sum_i x_i = 1
+    (a coordinate of weight (1-eps)*eps^i = 0 stays at 0). Every R is
+    the objective at a feasible point.
     """
     _check_eps(epsilon)
-    if grid_n < 2:
-        raise DomainError(f"need at least 2 grid points per axis, got {grid_n}")
     if epsilon == 1.0:
         return 0.0
     eb = 1.0 - epsilon
+    w0, w1, w2 = eb, eb * epsilon, eb * epsilon ** 2
+    base = 1.0 + epsilon + epsilon ** 2
 
-    def f(x0, x1, x2):
-        num = eb * (h2(x0) + epsilon * h2(x1) + epsilon ** 2 * h2(x2))
-        den = 1.0 + epsilon + epsilon ** 2 + 2.0 * eb * (x0 + epsilon * x1 + epsilon ** 2 * x2)
-        return num / den
+    def bias(w, level, mu):
+        # 1/(1 + 2^t) as y/(1 + y) with y = 2^-t, so a huge t underflows
+        # to 0 instead of overflowing
+        if w == 0.0:
+            return 0.0
+        y = 2.0 ** -(2.0 * level + mu / w)
+        return y / (1.0 + y)
 
-    axis = np.linspace(0.0, 1.0, grid_n)
-    g0, g1, g2 = np.meshgrid(axis, axis, axis, indexing="ij")
-    feas = g0 + g1 + g2 <= 1.0 + 1e-12
-    vals = np.where(feas, f(g0, g1, g2), -1.0)
-    flat = int(np.argmax(vals))
-    i, j, l = np.unravel_index(flat, vals.shape)
-    pt = np.array([axis[i], axis[j], axis[l]])
-    best = float(vals[i, j, l])
-    h = 1.0 / (grid_n - 1)
-    for c in range(3):
-        room = 1.0 - (pt.sum() - pt[c])  # simplex headroom for this coordinate
-        cand = np.clip(np.linspace(pt[c] - h, pt[c] + h, 401), 0.0, min(1.0, room))
-        cols = [np.full_like(cand, pt[m]) for m in range(3)]
-        cols[c] = cand
-        v = f(*cols)
-        i = int(np.argmax(v))
-        if v[i] > best:
-            best = float(v[i])
-            pt[c] = cand[i]
-    return best
+    def mass(level, mu):
+        return bias(w0, level, mu) + bias(w1, level, mu) + bias(w2, level, mu)
+
+    def maximizer(level):
+        mu = 0.0
+        if mass(level, 0.0) > 1.0:
+            # all three x_i equal 1/(1 + 4^level) here, so level < 1/2; at
+            # mu = (1-eps)*(1 - 2*level) every x_i <= 1/3
+            mu = _bisect(lambda m: mass(level, m) > 1.0, 0.0, eb * (1.0 - 2.0 * level))
+        return bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
+
+    def ratio(x0, x1, x2):
+        num = w0 * _h2(x0) + w1 * _h2(x1) + w2 * _h2(x2)
+        return num / (base + 2.0 * (w0 * x0 + w1 * x1 + w2 * x2))
+
+    level = 0.0
+    for _ in range(_MAX_STEPS):
+        r = ratio(*maximizer(level))
+        if r <= level:
+            break
+        level = r
+    return level
 
 
-def capacity_12(epsilon: float, tol: float = 1e-12) -> CapacityResult:
+def capacity_12(epsilon: float) -> CapacityResult:
     """Capacity with both run bounds active: one or two '0's between '1's.
 
     The value is max over x in [1/3, 1/2] of
 
-        H2(x) / (c + x),   c = 1/(1-eps) + (1-eps).
+        H2(x) / (c + x),   c = 1/(1-eps) + (1-eps),
 
-    After a scan plus golden-section pass, the first-order condition
-    (c+1)*ln(1-x) = c*ln(x) is solved by bisection; it has exactly one
-    root on [1/3, 1/2] because its left-minus-right side is strictly
-    decreasing with a sign change there (c >= 2 for every eps). That
-    pins the interior maximizer to machine precision, which golden
-    section alone cannot do near a flat maximum.
+    whose maximizer is the root of (c+1)*ln(1-x) = c*ln(x) (see
+    _ratio_max). The root lies in (1/3, 1/2) because c >= 2 for every
+    eps, which makes the left side larger at x = 1/3.
 
     epsilon = 1 returns 0 (the limit value).
     """
@@ -388,29 +406,8 @@ def capacity_12(epsilon: float, tol: float = 1e-12) -> CapacityResult:
     if epsilon == 1.0:
         return CapacityResult(0.0, SchemeParams(1.0, 1, (0.0,)), 0.0)
     eb = 1.0 - epsilon
-    c = 1.0 / eb + eb
-
-    def f(x):
-        return h2(x) / (c + x)
-
-    x0 = _scan_then_golden(f, f, 1.0 / 3.0, 0.5, tol)
-
-    def g(x):
-        return (c + 1.0) * math.log1p(-x) - c * math.log(x)
-
-    lo, hi = 1.0 / 3.0, 0.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xstar = 0.5 * (lo + hi)
-    # defensive; the two agree to ~1e-8 in x, so only a beyond-noise win
-    # may override the root (ties would otherwise trade away its precision)
-    if f(x0) > f(xstar) + 1e-12:
-        xstar = x0
-    return CapacityResult(float(f(xstar)), SchemeParams(epsilon, 1, (float(xstar),)), 0.0)
+    x, value = _ratio_max(1.0 / eb + eb, 1.0)
+    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0)
 
 
 def ub_12_two_param(epsilon: float, grid_n: int = 201) -> float:

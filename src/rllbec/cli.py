@@ -16,28 +16,13 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import capacity as cap
 from . import sim as simmod
 from .constraint import INF, RllConstraint, first_violation
 
 _CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
-
-
-def _thread_cap() -> int:
-    """Parallelism cap from RLLBEC_THREADS; 1 when unset or unusable."""
-    raw = os.environ.get("RLLBEC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer RLLBEC_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, n)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -73,7 +58,7 @@ def _emit_json(obj) -> str:
 
 
 def cmd_capacity(args) -> int:
-    res = cap.feedback_capacity(args.epsilon, args.k, tol=args.tol)
+    res = cap.feedback_capacity(args.epsilon, args.k)
     print(_emit_json({
         "epsilon": args.epsilon,
         "k": args.k,
@@ -106,7 +91,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     ks = _parse_int_list(args.k, "--k")
     ds = _parse_int_list(args.d, "--d")
-    jobs = []  # (sort key, curve, eps, k column, tag passed to the evaluator)
+    jobs = []  # (curve, eps, k column, tag passed to the evaluator)
     for eps in grid:
         for curve in curves:
             if curve == "fb0k":
@@ -122,12 +107,7 @@ def cmd_sweep(args) -> int:
             else:
                 jobs.append((curve, eps, "unconstrained", None))
 
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda j: _sweep_value(j[0], j[1], j[3]), jobs))
-    else:
-        values = [_sweep_value(c, e, t) for c, e, _, t in jobs]
+    values = [_sweep_value(c, e, t) for c, e, _, t in jobs]
     rows = sorted(
         ({"curve": c, "epsilon": e, "k": kcol, "value": v}
          for (c, e, kcol, _), v in zip(jobs, values)),
@@ -222,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("capacity", help="feedback capacity at one (epsilon, k) point")
     pc.add_argument("--k", type=int, required=True, help="maximum zero-run length")
     pc.add_argument("--epsilon", type=float, required=True, help="erasure probability")
-    pc.add_argument("--tol", type=float, default=1e-10, help="refinement bracket width")
     pc.set_defaults(func=cmd_capacity)
 
     ps = sub.add_parser("sweep", help="evaluate capacity curves over an epsilon grid")

@@ -141,8 +141,8 @@ class TestStationarityResidual:
 class TestFeedbackCapacity:
     def test_golden_ratio_endpoint(self):
         res = feedback_capacity(0.0, 1)
-        assert abs(res.value - LOG2_GOLDEN) <= 1e-9
-        assert abs(res.argmax.delta[0] - INV_GOLDEN_SQ) <= 1e-6
+        assert abs(res.value - LOG2_GOLDEN) <= 1e-12
+        assert abs(res.argmax.delta[0] - INV_GOLDEN_SQ) <= 1e-12
 
     def test_full_erasure_is_exactly_zero(self):
         assert feedback_capacity(1.0, 2).value == 0.0
@@ -150,10 +150,10 @@ class TestFeedbackCapacity:
     def test_matches_constraint_graph_at_zero_erasure(self):
         for k in (1, 2, 3, 4):
             assert abs(feedback_capacity(0.0, k).value
-                       - noiseless_capacity(RllConstraint(0, k))) <= 1e-6
+                       - noiseless_capacity(RllConstraint(0, k))) <= 1e-9
 
     def test_frozen_midpoint_value(self):
-        assert abs(feedback_capacity(0.5, 2).value - 0.4783256558773052) <= 1e-9
+        assert abs(feedback_capacity(0.5, 2).value - 0.4783256558773052) <= 1e-12
 
     def test_monotone_in_epsilon_and_k(self):
         eps_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -162,6 +162,14 @@ class TestFeedbackCapacity:
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
         for e in (0.2, 0.6):
             assert feedback_capacity(e, 1).value < feedback_capacity(e, 2).value
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 64])
+    def test_certificate_gap(self, eps, k):
+        # first-order condition in the last parameter at the maximum
+        res = feedback_capacity(eps, k)
+        d = res.argmax.delta[-1]
+        assert abs(res.value - math.log2((1.0 - d) / d)) <= 1e-12
 
     def test_argmax_is_consistent(self):
         res = feedback_capacity(0.3, 3)
@@ -200,13 +208,13 @@ class TestNcCapacityDInf:
     def test_half_erasure_two_run_is_half_golden(self):
         # cost 1/(1-eps) = 2 and d = 2 scale the single-run problem by 2
         res = nc_capacity_d_inf(0.5, 2)
-        assert abs(res.value - LOG2_GOLDEN / 2.0) <= 1e-9
-        assert abs(res.argmax.delta[0] - INV_GOLDEN_SQ) <= 1e-6
+        assert abs(res.value - LOG2_GOLDEN / 2.0) <= 1e-12
+        assert abs(res.argmax.delta[0] - INV_GOLDEN_SQ) <= 1e-12
 
     def test_matches_constraint_graph_at_zero_erasure(self):
         for d in (1, 2, 3):
             assert abs(nc_capacity_d_inf(0.0, d).value
-                       - noiseless_capacity(RllConstraint(d, INF))) <= 1e-6
+                       - noiseless_capacity(RllConstraint(d, INF))) <= 1e-9
 
     def test_full_erasure(self):
         assert nc_capacity_d_inf(1.0, 2).value == 0.0
@@ -230,18 +238,31 @@ class TestFbUpper2Inf:
         for eps in (0.25, 0.5, 0.75):
             assert fb_upper_2inf(eps) < nc_capacity_d_inf(eps, 2).value
 
+    def test_mediant_bound(self):
+        # the objective is a mediant of terms H2(x_i) / (1/(1-eps) + 2*x_i),
+        # each at most nc-dinf at d = 2; below eps ~ 0.2 the two are equal
+        for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            assert fb_upper_2inf(eps) <= nc_capacity_d_inf(eps, 2).value + 1e-12
+
+    def test_at_least_a_feasible_witness(self):
+        eps, x = 0.4, (0.356152, 0.340602, 0.303245)
+        assert sum(x) <= 1.0
+        num = (1.0 - eps) * (h2(x[0]) + eps * h2(x[1]) + eps ** 2 * h2(x[2]))
+        den = 1.0 + eps + eps ** 2 + 2.0 * (1.0 - eps) * (x[0] + eps * x[1] + eps ** 2 * x[2])
+        assert fb_upper_2inf(eps) >= num / den
+
     def test_full_erasure(self):
         assert fb_upper_2inf(1.0) == 0.0
 
 
 class TestCapacity12:
     def test_matches_constraint_graph_at_zero_erasure(self):
-        assert abs(capacity_12(0.0).value - noiseless_capacity(RllConstraint(1, 2))) <= 1e-6
+        assert abs(capacity_12(0.0).value - noiseless_capacity(RllConstraint(1, 2))) <= 1e-9
 
     def test_frozen_curve_points(self):
         for eps, want in ((0.25, 0.3922410958093383), (0.5, 0.3365981215881269),
                           (0.75, 0.2113403048832859), (0.9, 0.0944124695024477)):
-            assert abs(capacity_12(eps).value - want) <= 1e-8
+            assert abs(capacity_12(eps).value - want) <= 1e-12
 
     def test_first_order_condition_at_argmax(self):
         for eps in (0.0, 0.3, 0.8):

@@ -91,24 +91,6 @@ class TestSweep:
         assert "error" in err
 
 
-class TestThreadEnv:
-    ARGS = ["sweep", "--curves", "fb0k,cap-12", "--k", "1,3", "--grid", "0:0.6:0.2"]
-
-    def test_parallel_output_identical(self, capsys, monkeypatch):
-        monkeypatch.delenv("RLLBEC_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, self.ARGS)
-        monkeypatch.setenv("RLLBEC_THREADS", "3")
-        _, parallel, _ = run_cli(capsys, self.ARGS)
-        assert serial == parallel
-
-    def test_non_integer_value_warns_and_runs(self, capsys, monkeypatch):
-        monkeypatch.setenv("RLLBEC_THREADS", "abc")
-        code, out, err = run_cli(capsys, self.ARGS)
-        assert code == 0
-        assert "RLLBEC_THREADS" in err
-        assert out.startswith("curve,epsilon,k,value")
-
-
 class TestSimulate:
     ARGS = ["simulate", "--k", "1", "--epsilon", "0.3", "--log2-messages", "8",
             "--trials", "20", "--seed", "5"]
