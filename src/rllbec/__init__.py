@@ -46,7 +46,6 @@ from .constraint import (
 )
 from .markov import (
     FiniteChain,
-    NoConvergence,
     build_labeling_chain,
     build_s_chain,
     s_chain_stationary_exact,
@@ -72,7 +71,7 @@ __all__ = [
     "label_of", "next_label", "partition", "transmit_message", "update_live",
     "INF", "IllegalEdge", "RllConstraint", "adjacency", "first_violation",
     "initial_state", "next_state", "noiseless_capacity", "validate_sequence",
-    "FiniteChain", "NoConvergence", "build_labeling_chain", "build_s_chain",
+    "FiniteChain", "build_labeling_chain", "build_s_chain",
     "s_chain_stationary_exact", "stationary",
     "BecChannel", "SimReport", "label_occupancy_check", "renewal_rate_d_inf",
     "run_feedback_sim",

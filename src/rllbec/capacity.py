@@ -20,7 +20,7 @@ objectives as independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,11 +69,16 @@ def _check_k(k):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Erasure probability plus the '0'-probability used after each run length."""
+    """Erasure probability plus the '0'-probability used after each run length.
+
+    delta_ratios holds each delta_j as an exact integer ratio (p, q), so
+    the codec can split huge live sets without float rounding.
+    """
 
     epsilon: float
     k: int
     delta: tuple
+    delta_ratios: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
@@ -83,6 +88,7 @@ class SchemeParams:
             raise DomainError(f"k={self.k} but {len(self.delta)} parameters given")
         if any(not 0.0 <= d <= 1.0 for d in self.delta):
             raise DomainError(f"parameters must lie in [0, 1], got {self.delta}")
+        object.__setattr__(self, "delta_ratios", tuple(d.as_integer_ratio() for d in self.delta))
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ matter what the channel does.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .capacity import SchemeParams
+from .capacity import DomainError, SchemeParams
 
 TILDE0 = 0
 
@@ -78,6 +77,9 @@ class MessageInterval:
 def partition(label: int, live_size: int, params: SchemeParams):
     """Size and placement of the '0' block for a rule and live size.
 
+    The size is floor(delta_j * live_size) in exact integer arithmetic,
+    so it stays right for live sizes beyond float precision (2**53).
+
     Returns:
         (zero_count, side) with side 'prefix' or 'suffix'. L(k) always
         returns (0, 'prefix'): its input is forced to '1'.
@@ -89,7 +91,8 @@ def partition(label: int, live_size: int, params: SchemeParams):
         raise ValueError(f"label {label} out of range for k={k}")
     if label == label_of(k):
         return 0, "prefix"
-    zc = int(math.floor(params.delta[delta_index(label)] * live_size))
+    p, q = params.delta_ratios[delta_index(label)]
+    zc = p * live_size // q
     if zc == 0 and live_size >= 2:
         # an empty block stalls the session once the posterior is tight;
         # one message is safe: 1 + floor(a/2) <= a and 2*1 <= a for a >= 2
@@ -184,14 +187,14 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     Raises:
         MessageOutsideLiveSet: m outside [0, n_messages).
         UseBudgetExceeded: max_uses hit before the interval is a singleton.
-        DomainError-like ValueError: some delta_j > 1/2, which would let
-            the '0' blocks of L(j) and Tilde0 overlap.
+        DomainError: some delta_j > 1/2, which would let the '0' blocks
+            of L(j) and Tilde0 overlap.
     """
     session = SchemeSession.start(params, n_messages)
     if m not in session.live:
         raise MessageOutsideLiveSet(f"message {m} not in [0, {n_messages})")
     if any(d > 0.5 for d in params.delta):
-        raise ValueError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
+        raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
     x_seq = []
     while session.live.size > 1:
         if max_uses is not None and session.uses >= max_uses:

@@ -106,27 +106,11 @@ def adjacency(c: RllConstraint) -> np.ndarray:
     return a
 
 
-def noiseless_capacity(c: RllConstraint, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def noiseless_capacity(c: RllConstraint) -> float:
     """log2 of the spectral radius of the constraint graph.
 
     This is the growth exponent of the number of admissible length-n
-    sequences. Computed by power iteration; d < k makes the graph
-    primitive, so the iteration settles geometrically. The stopping
-    rule watches consecutive eigenvalue estimates, which is safe here
-    because the estimate sequence is monotone-ish after the first few
-    sweeps and the iterate is renormalized every step.
+    sequences (Shannon): the Perron root of adjacency(c), which is real
+    and the largest eigenvalue of the non-negative matrix.
     """
-    a = adjacency(c)
-    v = np.ones(a.shape[0])
-    v /= v.sum()
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        lam = float(w.sum())
-        w /= lam
-        # require the vector itself to settle, not just the estimate;
-        # estimate-only stopping can trigger on a coincidental plateau
-        if abs(lam - lam_prev) <= tol and np.max(np.abs(w - v)) <= tol:
-            return float(np.log2(lam))
-        lam_prev, v = lam, w
-    raise RuntimeError(f"power iteration did not settle in {max_iter} sweeps")
+    return float(np.log2(np.linalg.eigvals(adjacency(c)).real.max()))

@@ -2,8 +2,8 @@
 
 The labeling chain tracks which labeling rule the transmitter applies at
 each channel use; the zero-run chain tracks how many '0's went through
-since the last delivered '1'. Both have closed-form stationary laws that
-the rest of the package checks against power iteration.
+since the last delivered '1'. stationary() solves for the law of any
+such chain directly; the zero-run chain also has a closed form.
 """
 
 from __future__ import annotations
@@ -13,41 +13,38 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NoConvergence(RuntimeError):
-    """Power iteration ran out of sweeps without reaching a fixed point."""
-
-
 @dataclass(frozen=True)
 class FiniteChain:
-    """A row-stochastic transition matrix over states 0..n-1."""
+    """A row-stochastic square transition matrix over states 0..n-1."""
 
-    n: int
     P: np.ndarray
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
         object.__setattr__(self, "P", P)
-        if P.shape != (self.n, self.n):
-            raise ValueError(f"matrix shape {P.shape} does not match n={self.n}")
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"transition matrix must be square, got shape {P.shape}")
         if np.any(P < -1e-15):
             raise ValueError("negative transition probability")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError(f"rows must sum to 1, worst deviation {np.max(np.abs(rows - 1.0)):.3e}")
 
+    @property
+    def n(self) -> int:
+        return self.P.shape[0]
 
-def stationary(chain: FiniteChain, start: int = 0, tol: float = 1e-12,
-               max_iter: int = 1_000_000) -> np.ndarray:
-    """Stationary distribution by forward iteration.
 
-    The iteration starts uniform on the states reachable from `start`,
-    so states that the process cannot visit carry exactly zero mass.
+def stationary(chain: FiniteChain, start: int = 0) -> np.ndarray:
+    """Stationary distribution of the chain started from `start`.
+
+    The states reachable from `start` form a closed set; the law solves
+    pi (P_r - I) = 0, sum(pi) = 1 on that set by one least-squares solve
+    of the stacked system, and states outside it carry zero mass.
 
     Raises:
-        NoConvergence: the sup-norm change never dropped below tol.
-            The chains built in this module mix geometrically for
-            interior parameters; degenerate corners (erasure
-            probability exactly 1) can cycle and will trip this.
+        ValueError: `start` is out of range, or no unique law exists
+            because two closed classes are reachable from `start`.
     """
     P = chain.P
     n = chain.n
@@ -64,14 +61,18 @@ def stationary(chain: FiniteChain, start: int = 0, tol: float = 1e-12,
                     reach[t] = True
                     nxt.append(int(t))
         frontier = nxt
-    v = reach.astype(float)
-    v /= v.sum()
-    for _ in range(max_iter):
-        w = v @ P
-        if float(np.max(np.abs(w - v))) <= tol:
-            return w / w.sum()
-        v = w
-    raise NoConvergence(f"no fixed point after {max_iter} sweeps (tol={tol})")
+    idx = np.flatnonzero(reach)
+    m = idx.size
+    a = np.vstack([P[np.ix_(idx, idx)].T - np.eye(m), np.ones((1, m))])
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < m:
+        raise ValueError(f"no unique stationary law from state {start}: "
+                         f"{m - rank + 1} closed classes are reachable")
+    pi = np.zeros(n)
+    pi[idx] = x
+    return pi
 
 
 def _check_eps_delta(epsilon, delta):
@@ -108,7 +109,7 @@ def build_labeling_chain(epsilon: float, delta) -> FiniteChain:
         P[row, 1] = eb * (1.0 - delta[j])
         P[row, 0] = epsilon
     P[k + 1, 1] = 1.0
-    return FiniteChain(k + 2, P)
+    return FiniteChain(P)
 
 
 def build_s_chain(epsilon: float, delta) -> FiniteChain:
@@ -130,7 +131,7 @@ def build_s_chain(epsilon: float, delta) -> FiniteChain:
         P[j, j + 1] = fwd
         P[j, 0] = 1.0 - fwd
     P[k, 0] = 1.0
-    return FiniteChain(k + 1, P)
+    return FiniteChain(P)
 
 
 def s_chain_stationary_exact(epsilon: float, delta) -> np.ndarray:

@@ -6,7 +6,7 @@ rules, and a renewal-cost simulator for the minimum-run-length family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,20 +72,20 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
         seed: root seed; each trial derives its own independent message
             and channel streams from (seed, trial index), so reports are
             reproducible and order-independent.
-        max_uses: optional per-trial cap (needed for epsilon = 1, where
-            a session never finishes).
+        max_uses: optional per-trial cap; required for epsilon = 1,
+            where a session never finishes.
     """
     if not 1 <= log2_messages <= 62:
         raise DomainError(f"log2_messages must lie in [1, 62], got {log2_messages}")
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
+    if epsilon == 1.0 and max_uses is None:
+        raise DomainError("erasure probability 1 never lets a session finish; set max_uses")
     if isinstance(delta, str):
         if delta != "optimal":
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
-    if any(d > 0.5 for d in params.delta):
-        raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
     n = 1 << log2_messages
     cons = RllConstraint(0, k)
     hist = np.zeros(k + 2, dtype=np.int64)

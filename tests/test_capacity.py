@@ -150,7 +150,7 @@ class TestFeedbackCapacity:
     def test_matches_constraint_graph_at_zero_erasure(self):
         for k in (1, 2, 3, 4):
             assert abs(feedback_capacity(0.0, k).value
-                       - noiseless_capacity(RllConstraint(0, k))) <= 1e-9
+                       - noiseless_capacity(RllConstraint(0, k))) <= 1e-12
 
     def test_frozen_midpoint_value(self):
         assert abs(feedback_capacity(0.5, 2).value - 0.4783256558773052) <= 1e-12
@@ -214,7 +214,7 @@ class TestNcCapacityDInf:
     def test_matches_constraint_graph_at_zero_erasure(self):
         for d in (1, 2, 3):
             assert abs(nc_capacity_d_inf(0.0, d).value
-                       - noiseless_capacity(RllConstraint(d, INF))) <= 1e-9
+                       - noiseless_capacity(RllConstraint(d, INF))) <= 1e-12
 
     def test_full_erasure(self):
         assert nc_capacity_d_inf(1.0, 2).value == 0.0
@@ -257,7 +257,7 @@ class TestFbUpper2Inf:
 
 class TestCapacity12:
     def test_matches_constraint_graph_at_zero_erasure(self):
-        assert abs(capacity_12(0.0).value - noiseless_capacity(RllConstraint(1, 2))) <= 1e-9
+        assert abs(capacity_12(0.0).value - noiseless_capacity(RllConstraint(1, 2))) <= 1e-12
 
     def test_frozen_curve_points(self):
         for eps, want in ((0.25, 0.3922410958093383), (0.5, 0.3365981215881269),

@@ -120,6 +120,12 @@ class TestSimulate:
         assert code == 2
         assert "delta" in err
 
+    def test_full_erasure_without_cap(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "simulate", "--k", "2", "--epsilon", "1", "--log2-messages", "8", "--trials", "1"])
+        assert code == 2
+        assert "max_uses" in err
+
 
 class TestOracle:
     def test_agreement(self, capsys):

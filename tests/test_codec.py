@@ -9,6 +9,7 @@ import pytest
 
 from rllbec import (
     TILDE0,
+    DomainError,
     EmptySet,
     MessageInterval,
     MessageOutsideLiveSet,
@@ -203,8 +204,20 @@ class TestTransmit:
             transmit_message(5, 4, params_k1(), lambda x: x)
         with pytest.raises(ValueError):
             transmit_message(0, 1, params_k1(), lambda x: x)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             transmit_message(0, 8, SchemeParams(0.0, 1, (0.7,)), lambda x: x)
+
+    def test_exact_split_above_float_precision(self):
+        # floor(0.5 * a) in float64 rounds up for odd a > 2**53, which made
+        # the prefix block of L(0) and the suffix block of Tilde0 overlap
+        # by one message; that message then sent '0', '0' under k = 1
+        outputs = iter([None])
+        channel = lambda x: next(outputs, x)
+        m = 2**61 - 1
+        m_hat, _, x_seq = transmit_message(m, 2**62 - 1, SchemeParams(0.5, 1, (0.5,)), channel)
+        assert m_hat == m
+        assert first_violation(RllConstraint(0, 1), x_seq) is None
+        assert partition(TILDE0, 2**62 - 1, SchemeParams(0.5, 1, (0.5,))) == (2**61 - 1, "suffix")
 
 
 def walk_all_outputs(k, n, delta, depth):

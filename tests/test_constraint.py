@@ -109,7 +109,7 @@ class TestValidation:
 
 class TestNoiselessCapacity:
     def test_golden_ratio_for_single_zero_run(self):
-        assert abs(noiseless_capacity(RllConstraint(0, 1)) - LOG2_GOLDEN) <= 1e-6
+        assert abs(noiseless_capacity(RllConstraint(0, 1)) - LOG2_GOLDEN) <= 1e-12
 
     def test_known_values(self):
         # largest roots of x^3 = x^2 + x + 1 and x^3 = x + 1
@@ -121,9 +121,17 @@ class TestNoiselessCapacity:
 
     @pytest.mark.parametrize("d,k", [(0, 1), (0, 4), (1, 2), (1, 5), (2, INF), (4, INF)])
     def test_matches_dense_eigensolver(self, d, k):
-        c = RllConstraint(d, k)
-        lam = max(np.linalg.eigvals(adjacency(c)).real)
-        assert abs(noiseless_capacity(c) - math.log2(lam)) <= 1e-9
+        # reference: largest root of the characteristic equation of the
+        # run lengths, x^(k+2) - x^(k+1) - x^(k+1-d) + 1 for finite k
+        # (the extra root x = 1 is never the largest) and x^(d+1) - x^d - 1
+        # for k = inf
+        coeffs = np.zeros(d + 2 if k == INF else k + 3)
+        coeffs[:2] = 1.0, -1.0
+        coeffs[d + 1] -= 1.0  # x^(k+1-d) in the finite case; for d = 0 it adds to x^(k+1)
+        if k != INF:
+            coeffs[-1] = 1.0
+        lam = max(np.roots(coeffs).real)
+        assert abs(noiseless_capacity(RllConstraint(d, k)) - math.log2(lam)) <= 1e-12
 
     def test_capacity_increases_with_k(self):
         vals = [noiseless_capacity(RllConstraint(0, k)) for k in range(1, 8)]

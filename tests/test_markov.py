@@ -5,7 +5,6 @@ import pytest
 
 from rllbec import (
     FiniteChain,
-    NoConvergence,
     SchemeParams,
     build_labeling_chain,
     build_s_chain,
@@ -20,27 +19,28 @@ from rllbec import (
 class TestFiniteChain:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
-            FiniteChain(2, np.array([[0.5, 0.4], [0.0, 1.0]]))
+            FiniteChain(np.array([[0.5, 0.4], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            FiniteChain(2, np.array([[1.1, -0.1], [0.0, 1.0]]))
+            FiniteChain(np.array([[1.1, -0.1], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            FiniteChain(3, np.eye(2))
+            FiniteChain(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
 
     def test_accepts_stochastic_matrix(self):
-        FiniteChain(2, np.array([[0.25, 0.75], [1.0, 0.0]]))
+        chain = FiniteChain(np.array([[0.25, 0.75], [1.0, 0.0]]))
+        assert chain.n == 2
 
 
 class TestStationary:
     def test_two_state_hand_solution(self):
         # 0.1*pi0 = 0.5*pi1, so pi = (5/6, 1/6)
-        chain = FiniteChain(2, np.array([[0.9, 0.1], [0.5, 0.5]]))
+        chain = FiniteChain(np.array([[0.9, 0.1], [0.5, 0.5]]))
         pi = stationary(chain)
         assert np.allclose(pi, [5 / 6, 1 / 6], atol=1e-11)
         assert abs(pi.sum() - 1.0) <= 1e-12
 
     def test_unreachable_states_get_zero_mass(self):
         P = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
-        chain = FiniteChain(3, P)
+        chain = FiniteChain(P)
         assert np.allclose(stationary(chain, start=0), [1.0, 0.0, 0.0])
         assert np.allclose(stationary(chain, start=1), [0.0, 0.5, 0.5], atol=1e-11)
 
@@ -49,13 +49,20 @@ class TestStationary:
         pi = stationary(chain)
         assert np.max(np.abs(pi @ chain.P - pi)) <= 1e-10
 
-    def test_iteration_budget(self):
-        chain = FiniteChain(2, np.array([[0.9, 0.1], [0.5, 0.5]]))
-        with pytest.raises(NoConvergence):
-            stationary(chain, max_iter=1)
+    def test_periodic_chain(self):
+        # eps=0, delta_0=1: L(0) and L(1) alternate with period 2, and the
+        # post-erasure rule is transient from the default start
+        pi = stationary(build_labeling_chain(0.0, (1.0,)))
+        assert np.max(np.abs(pi - [0.0, 0.5, 0.5])) <= 1e-12
+
+    def test_two_closed_classes_have_no_unique_law(self):
+        chain = FiniteChain(np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            stationary(chain)
+        assert np.array_equal(stationary(chain, start=2), [0.0, 0.0, 1.0])
 
     def test_bad_start(self):
-        chain = FiniteChain(2, np.eye(2))
+        chain = FiniteChain(np.eye(2))
         with pytest.raises(ValueError):
             stationary(chain, start=5)
 
@@ -131,6 +138,7 @@ class TestSChain:
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("delta", [(0.5,), (0.45, 0.35), (0.4, 0.3, 0.2)])
     def test_closed_form_matches_power_iteration(self, eps, delta):
+        # reference: the direct solve in stationary()
         pi_exact = s_chain_stationary_exact(eps, delta)
-        pi_iter = stationary(build_s_chain(eps, delta))
-        assert np.max(np.abs(pi_exact - pi_iter)) <= 1e-9
+        pi_solved = stationary(build_s_chain(eps, delta))
+        assert np.max(np.abs(pi_exact - pi_solved)) <= 1e-12

@@ -103,6 +103,11 @@ class TestRunFeedbackSim:
         with pytest.raises(DomainError):
             run_feedback_sim(1, 0.0, 8, 1, delta="best")
 
+    def test_full_erasure_needs_a_use_cap(self):
+        # without a cap the first session would never end
+        with pytest.raises(DomainError):
+            run_feedback_sim(2, 1.0, 8, 1)
+
 
 class TestLabelOccupancy:
     def test_long_run_matches_stationary_law(self):
