@@ -20,6 +20,7 @@ from .capacity import (
 )
 from .codec import (
     TILDE0,
+    ArrayCodec,
     EmptySet,
     MessageInterval,
     MessageOutsideLiveSet,
@@ -66,7 +67,7 @@ __all__ = [
     "capacity_12", "delta_chain", "fb_upper_2inf", "feedback_capacity",
     "grid_argmax_rate", "grid_max_rate", "h2", "nc_capacity_d_inf", "rate",
     "stationarity_residual", "ub_12_two_param",
-    "TILDE0", "EmptySet", "MessageInterval", "MessageOutsideLiveSet",
+    "TILDE0", "ArrayCodec", "EmptySet", "MessageInterval", "MessageOutsideLiveSet",
     "SchemeSession", "UseBudgetExceeded", "input_bit", "label_names",
     "label_of", "next_label", "partition", "transmit_message", "update_live",
     "INF", "IllegalEdge", "RllConstraint", "adjacency", "first_violation",

@@ -221,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--delta", default="optimal", help="'optimal' or comma-separated values")
     pm.add_argument("--max-uses", type=int, default=None, dest="max_uses",
-                    help="per-trial channel-use cap (required for --epsilon 1)")
+                    help="per-trial channel-use cap (required above 1e6 expected uses, "
+                         "as at --epsilon 1)")
     pm.set_defaults(func=cmd_simulate)
 
     po = sub.add_parser("oracle", help="full-cube grid search vs the 1-D reduction")

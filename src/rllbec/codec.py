@@ -17,15 +17,22 @@ exists: the transmission ends when the live interval is a singleton,
 and that singleton is the message. No output sequence can make a live
 message emit more than k '0's in a row, so the constraint holds no
 matter what the channel does.
+
+ArrayCodec applies the same rules to many sessions at once, one channel
+use per call, on int64 arrays; the scalar functions are its
+specification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import DomainError, SchemeParams
 
 TILDE0 = 0
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class MessageOutsideLiveSet(RuntimeError):
@@ -152,6 +159,11 @@ def update_live(live: MessageInterval, label: int, y, params: SchemeParams) -> M
     return MessageInterval(nl, nh)
 
 
+def _check_safe(params: SchemeParams):
+    if any(d > 0.5 for d in params.delta):
+        raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
+
+
 @dataclass
 class SchemeSession:
     """Mutable state of one transmission: parameters, rule, live interval.
@@ -193,8 +205,7 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     session = SchemeSession.start(params, n_messages)
     if m not in session.live:
         raise MessageOutsideLiveSet(f"message {m} not in [0, {n_messages})")
-    if any(d > 0.5 for d in params.delta):
-        raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
+    _check_safe(params)
     x_seq = []
     while session.live.size > 1:
         if max_uses is not None and session.uses >= max_uses:
@@ -208,3 +219,76 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         session.live = update_live(session.live, session.label, y, session.params)
         session.label = next_label(session.label, y, session.params.k)
     return session.live.lo, session.uses, x_seq
+
+
+class ArrayCodec:
+    """One channel use of many sessions at once, on int64 arrays.
+
+    step() is the elementwise image of one pass through the loop of
+    transmit_message (input_bit, update_live, next_label), and
+    zero_counts() that of partition's count; the scalar functions stay
+    the specification. Live sizes lie below 2**63, and the '0' block
+    size floor(delta_j * a) is exact there: a float delta_j is p / 2**e
+    with p < 2**53, so the size is the 128-bit product p * a, built from
+    32-bit halves, shifted right by e.
+
+    Raises:
+        DomainError: some delta_j > 1/2, as transmit_message does.
+    """
+
+    def __init__(self, params: SchemeParams):
+        _check_safe(params)
+        k = params.k
+        p = np.zeros(k + 2, dtype=np.uint64)
+        e = np.zeros(k + 2, dtype=np.uint64)
+        for label in range(k + 2):
+            if label != label_of(k):  # L(k) keeps an empty '0' block
+                num, den = params.delta_ratios[delta_index(label)]
+                # a product below 2**116 shifted by 127 is 0, as by any e above
+                p[label], e[label] = num, min(den.bit_length() - 1, 127)
+        self._p_lo, self._p_hi, self._e = p & _LOW32, p >> 32, e
+        self._bump = np.arange(k + 2) != label_of(k)
+        # next_label by (rule, output), output 2 standing for an erasure
+        self._next = np.array([[next_label(lab, y, k) for y in (0, 1, None)]
+                               for lab in range(k + 2)], dtype=np.int64)
+
+    def zero_counts(self, labels, sizes):
+        """partition(label, size, params)[0] of each (label, size) pair."""
+        a = sizes.astype(np.uint64)
+        a_lo, a_hi = a & _LOW32, a >> 32
+        p_lo, p_hi, e = self._p_lo[labels], self._p_hi[labels], self._e[labels]
+        low = a_lo * p_lo
+        mid = a_lo * p_hi + a_hi * p_lo  # below 2**53 + 2**63
+        lo64 = low + (mid << 32)
+        hi64 = a_hi * p_hi + (mid >> 32) + (lo64 < low)
+        s = e & 63
+        # (hi64 << 1) << (63 - s) is hi64 << (64 - s), and 0 at s = 0
+        zc = np.where(e < 64, (lo64 >> s) | ((hi64 << 1) << (63 - s)), hi64 >> s).astype(np.int64)
+        zc[(zc == 0) & (sizes >= 2) & self._bump[labels]] = 1  # the one-message bump
+        return zc
+
+    def step(self, labels, lo, hi, m, erased):
+        """One channel use of every session; erased masks the erased outputs.
+
+        Returns:
+            (x, labels, lo, hi): the bits sent, then each session's rule
+            and live interval after the use.
+
+        Raises:
+            EmptySet: as update_live, which outputs of live messages never do.
+        """
+        zc = self.zero_counts(labels, hi - lo)
+        # partition cuts [lo, hi) at c: the '0' block is the prefix [lo, c),
+        # or the suffix [c, hi) under Tilde0
+        suffix = labels == TILDE0
+        c = np.where(suffix, hi - zc, lo + zc)
+        upper = m >= c
+        x = (upper != suffix).astype(np.int64)
+        # a delivered bit keeps its block, which is the one holding m
+        delivered = ~erased
+        lo = np.where(delivered & upper, c, lo)
+        hi = np.where(delivered & ~upper, c, hi)
+        empty = lo >= hi
+        if empty.any():
+            raise EmptySet(f"an output empties {np.count_nonzero(empty)} live sets")
+        return x, self._next[labels, np.where(erased, 2, x)], lo, hi

@@ -1,6 +1,13 @@
 """Monte Carlo side: an erasure channel with explicit seeding, a trial
 harness for the coding scheme, occupancy statistics for the labeling
 rules, and a renewal-cost simulator for the minimum-run-length family.
+
+The trial harness steps every unfinished trial together: one channel
+use of all of them is one call of codec.ArrayCodec.step on int64
+columns. Each trial still draws its message and its erasures from its
+own seeded streams, the erasures in blocks that equal BecChannel's draws
+one by one, so a report equals what one transmit_message per trial over
+a BecChannel gives.
 """
 
 from __future__ import annotations
@@ -11,9 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .capacity import DomainError, SchemeParams, feedback_capacity, h2
-from .constraint import RllConstraint, first_violation
+from .capacity import DomainError, SchemeParams, feedback_capacity, h2, rate
 from .markov import build_labeling_chain, stationary
+
+_BLOCK = 256        # erasure draws per trial and refill
+_CHUNK = 4096       # trials stepped together, which bounds the memory for any count
+_MAX_EXPECTED_USES = 1e6  # per trial, for runs without a use cap
 
 
 class BecChannel:
@@ -45,8 +55,9 @@ class SimReport:
 
     total_bits counts delivered messages only; censored is the number
     of trials cut off by the per-trial use cap (their uses still count,
-    their bits do not). label_histogram maps rule names ('~l0', 'l0',
-    ..., 'lk') to the number of uses spent under each rule.
+    their bits do not). erasures counts the erased channel uses.
+    label_histogram maps rule names ('~l0', 'l0', ..., 'lk') to the
+    number of uses spent under each rule.
     """
 
     trials: int
@@ -58,7 +69,77 @@ class SimReport:
     errors: int
     violations: int
     censored: int
+    erasures: int
     label_histogram: dict
+
+
+def _stream(seed, t: int, which: int):
+    """Seed of trial t's message (which = 0) or channel (which = 1) stream:
+    child `which` of SeedSequence(entropy=(seed, t)).spawn(2)."""
+    return np.random.SeedSequence((seed, t), spawn_key=(which,))
+
+
+def _erasures(channel_seed, start: int, epsilon: float):
+    """Erasure mask of the channel stream's draws start, ..., start + _BLOCK - 1.
+
+    A BecChannel on the same seed erases its i-th use exactly when draw i
+    is below epsilon; random() takes one 64-bit output per draw, so
+    advancing the generator by `start` outputs skips `start` draws.
+    """
+    bits = np.random.PCG64(channel_seed)
+    bits.advance(start)
+    return np.random.Generator(bits).random(_BLOCK) < epsilon
+
+
+def _lockstep(coder, k, n, epsilon, seed, first, count, max_uses, uses, delivered, hist):
+    """Run trials first, ..., first + count - 1 to their ends, all at once.
+
+    Each pass of the loop is one channel use of every unfinished trial.
+    Writes each trial's uses, and whether it decoded before the cap,
+    into `uses` and `delivered`; adds the uses under each rule to `hist`.
+
+    Returns:
+        (errors, violations, erasures) among these trials.
+    """
+    m = np.empty(count, dtype=np.int64)
+    erased = np.empty((_BLOCK, count), dtype=bool)
+    for row in range(count):
+        m[row] = np.random.default_rng(_stream(seed, first + row, 0)).integers(n)
+        erased[:, row] = _erasures(_stream(seed, first + row, 1), 0, epsilon)
+    row = np.arange(count)
+    lo = np.zeros(count, dtype=np.int64)
+    hi = np.full(count, n, dtype=np.int64)
+    label = np.full(count, codec.label_of(0), dtype=np.int64)
+    run = np.zeros(count, dtype=np.int64)  # trailing '0's sent
+    bad = np.zeros(count, dtype=bool)      # broke the (0,k) constraint
+    errors = violations = n_erased = 0
+    step = 0
+    while row.size:
+        if max_uses is not None and step >= max_uses:
+            uses[first + row] = step
+            violations += int(np.count_nonzero(bad))
+            break
+        col = step % _BLOCK
+        if col == 0 and step:
+            for r in row.tolist():
+                erased[:, r] = _erasures(_stream(seed, first + r, 1), step, epsilon)
+        e = erased[col, row]
+        n_erased += int(np.count_nonzero(e))
+        hist += np.bincount(label, minlength=hist.size)
+        x, label, lo, hi = coder.step(label, lo, hi, m, e)
+        run = (run + 1) * (1 - x)
+        bad |= run > k
+        step += 1
+        done = hi - lo == 1
+        if done.any():
+            ended = first + row[done]
+            uses[ended] = step
+            delivered[ended] = True
+            errors += int(np.count_nonzero(lo[done] != m[done]))
+            violations += int(np.count_nonzero(bad[done]))
+            live = ~done
+            row, m, lo, hi, label, run, bad = (v[live] for v in (row, m, lo, hi, label, run, bad))
+    return errors, violations, n_erased
 
 
 def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
@@ -66,70 +147,69 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
                      max_uses: int | None = None) -> SimReport:
     """Transmit `trials` uniformly drawn messages over fresh channels.
 
+    All unfinished trials advance together, one channel use per step.
+    The engine checks the (0,k) constraint on the bits sent, counts the
+    uses under each rule and the erased uses, and compares each decoded
+    message with the sent one as the trial ends. The report equals what
+    transmit_message over a BecChannel gives, trial by trial.
+
     Args:
         delta: explicit parameter vector, or "optimal" to use the
             capacity-achieving one.
         seed: root seed; each trial derives its own independent message
             and channel streams from (seed, trial index), so reports are
             reproducible and order-independent.
-        max_uses: optional per-trial cap; required for epsilon = 1,
-            where a session never finishes.
+        max_uses: optional per-trial cap. Without one, the scheme's rate
+            must promise at most 1e6 expected uses per trial; a zero rate
+            (epsilon = 1, or delta_0 = 0 without erasures) never would.
+
+    Raises:
+        DomainError: bad arguments, some delta_j > 1/2, or no cap where
+            one is needed.
+        codec.EmptySet: an update emptied a live set, which the codec
+            never does.
     """
     if not 1 <= log2_messages <= 62:
         raise DomainError(f"log2_messages must lie in [1, 62], got {log2_messages}")
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials}")
-    if epsilon == 1.0 and max_uses is None:
-        raise DomainError("erasure probability 1 never lets a session finish; set max_uses")
     if isinstance(delta, str):
         if delta != "optimal":
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
+    if max_uses is None:
+        r = rate(params)
+        if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
+            raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
+                              f"per trial; set max_uses")
+    coder = codec.ArrayCodec(params)
     n = 1 << log2_messages
-    cons = RllConstraint(0, k)
+    uses = np.zeros(trials, dtype=np.int64)
+    delivered = np.zeros(trials, dtype=bool)
     hist = np.zeros(k + 2, dtype=np.int64)
-    rates = []
-    total_uses = 0
-    errors = violations = censored = 0
-    for t in range(trials):
-        ss = np.random.SeedSequence(entropy=(seed, t))
-        s_msg, s_ch = ss.spawn(2)
-        m = int(np.random.default_rng(s_msg).integers(n))
-        channel = BecChannel(epsilon, s_ch)
-        transcript = []
-        try:
-            m_hat, uses, x_seq = codec.transmit_message(
-                m, n, params, channel, max_uses=max_uses, transcript=transcript)
-            if m_hat != m:
-                errors += 1
-            rates.append(log2_messages / uses)
-        except codec.UseBudgetExceeded:
-            censored += 1
-            uses = len(transcript)
-            x_seq = [x for x, _ in transcript]
-        total_uses += uses
-        if first_violation(cons, x_seq) is not None:
-            violations += 1
-        # the rule sequence is a function of the outputs alone
-        lab = codec.label_of(0)
-        for _, y in transcript:
-            hist[lab] += 1
-            lab = codec.next_label(lab, y, k)
-    delivered = trials - censored
-    total_bits = float(log2_messages * delivered)
+    errors = violations = erasures = 0
+    for first in range(0, trials, _CHUNK):
+        e, v, x = _lockstep(coder, k, n, epsilon, seed, first, min(_CHUNK, trials - first),
+                            max_uses, uses, delivered, hist)
+        errors, violations, erasures = errors + e, violations + v, erasures + x
+    rates = log2_messages / uses[delivered]
+    censored = trials - rates.size
+    total_uses = int(uses.sum())
+    total_bits = float(log2_messages * rates.size)
     names = codec.label_names(k)
-    stderr = float(np.std(rates, ddof=1) / math.sqrt(len(rates))) if len(rates) >= 2 else 0.0
+    stderr = float(np.std(rates, ddof=1) / math.sqrt(rates.size)) if rates.size >= 2 else 0.0
     return SimReport(
         trials=trials,
         total_uses=total_uses,
         total_bits=total_bits,
         empirical_rate=total_bits / total_uses if total_uses else 0.0,
-        mean_trial_rate=float(np.mean(rates)) if rates else 0.0,
+        mean_trial_rate=float(np.mean(rates)) if rates.size else 0.0,
         stderr_rate=stderr,
         errors=errors,
         violations=violations,
         censored=censored,
+        erasures=erasures,
         label_histogram={names[i]: int(hist[i]) for i in range(k + 2)},
     )
 

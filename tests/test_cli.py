@@ -126,6 +126,22 @@ class TestSimulate:
         assert code == 2
         assert "max_uses" in err
 
+    def test_unbounded_session_without_cap(self, capsys):
+        # delta_0 = 0 without erasures: about 2**62 uses per trial
+        code, _, err = run_cli(capsys, [
+            "simulate", "--k", "1", "--epsilon", "0", "--log2-messages", "62", "--trials", "1",
+            "--delta", "0"])
+        assert code == 2
+        assert "max_uses" in err
+
+    def test_reports_erasures(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "simulate", "--k", "2", "--epsilon", "1", "--log2-messages", "8", "--trials", "3",
+            "--max-uses", "40"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["erasures"] == doc["total_uses"] == 120
+
 
 class TestOracle:
     def test_agreement(self, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from rllbec import (
     TILDE0,
+    ArrayCodec,
     DomainError,
     EmptySet,
     MessageInterval,
@@ -98,6 +99,63 @@ class TestPartition:
                 zci = np.floor(di * a).astype(int)
                 zci[(zci == 0) & (a >= 2)] = 1
                 assert np.all(zci <= a - zc0)
+
+
+class TestArraySplit:
+    # live sizes at the small end, around float precision and up to 2**62 - 1
+    SIZES = [1, 2, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 2**62 - 1]
+    DELTAS = [0.0, 0.5, 5e-324, 2.0**-64, 2.0**-63, 1 / 3]
+
+    def test_equals_scalar_partition(self):
+        rng = np.random.default_rng(11)
+        sizes = self.SIZES + rng.integers(1, 2**62, 300).tolist()
+        # uniform draws, and log-uniform ones whose exponents pass 64
+        deltas = (self.DELTAS + rng.uniform(0.0, 0.5, 20).tolist()
+                  + (0.5 * 2.0 ** -rng.uniform(0, 80, 20)).tolist())
+        for k in (1, 3):
+            for d in deltas:
+                delta = (d,) + tuple(rng.choice(deltas, k - 1))
+                params = SchemeParams(0.3, k, delta)
+                coder = ArrayCodec(params)
+                for label in range(k + 2):
+                    got = coder.zero_counts(np.full(len(sizes), label), np.array(sizes))
+                    want = [partition(label, a, params)[0] for a in sizes]
+                    assert got.tolist() == want, (delta, label)
+
+    def test_step_follows_the_scalar_session(self):
+        # every message of 37 at once, against one scalar session each
+        params = params_k2((0.45, 0.3), eps=0.4)
+        coder = ArrayCodec(params)
+        rng = np.random.default_rng(5)
+        n = 37
+        m = np.arange(n)
+        labels, lo, hi = np.full(n, label_of(0)), np.zeros(n, dtype=np.int64), np.full(n, n)
+        sessions = [SchemeSession.start(params, n) for _ in range(n)]
+        while m.size:
+            erased = rng.random(m.size) < 0.4
+            x, labels, lo, hi = coder.step(labels, lo, hi, m, erased)
+            for i, sess in enumerate(sessions):
+                xi = input_bit(sess, int(m[i]))
+                y = None if erased[i] else xi
+                sess.live = update_live(sess.live, sess.label, y, params)
+                sess.label = next_label(sess.label, y, params.k)
+                assert (x[i], labels[i], lo[i], hi[i]) == (xi, sess.label, sess.live.lo, sess.live.hi)
+            live = hi - lo > 1
+            assert np.all(lo[~live] == m[~live])
+            m, labels, lo, hi = m[live], labels[live], lo[live], hi[live]
+            sessions = [sess for sess, keep in zip(sessions, live) if keep]
+
+    def test_rejects_unsafe_delta(self):
+        with pytest.raises(DomainError):
+            ArrayCodec(SchemeParams(0.0, 2, (0.4, 0.6)))
+
+    def test_empty_update_raises(self):
+        # a message below its live set sends '0' under the forced rule,
+        # whose '0' block is empty
+        coder = ArrayCodec(params_k1(d0=0.5))
+        with pytest.raises(EmptySet):
+            coder.step(np.array([label_of(1)]), np.array([4]), np.array([8]), np.array([0]),
+                       np.array([False]))
 
 
 class TestNextLabel:

@@ -9,16 +9,75 @@ import pytest
 from rllbec import (
     BecChannel,
     DomainError,
+    RllConstraint,
+    SchemeParams,
     SimReport,
+    UseBudgetExceeded,
     feedback_capacity,
+    first_violation,
     h2,
+    label_names,
     label_occupancy_check,
+    label_of,
     nc_capacity_d_inf,
+    next_label,
     renewal_rate_d_inf,
+    codec,
     run_feedback_sim,
+    sim,
+    transmit_message,
 )
 
 GOLDEN = 0.6942419136306173  # log2 of the golden ratio
+
+
+def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, max_uses=None):
+    """run_feedback_sim one trial at a time: the scalar codec over a
+    BecChannel per trial, then replays of each transcript for the (0,k)
+    constraint, the rule histogram and the erasure count."""
+    if delta == "optimal":
+        delta = feedback_capacity(epsilon, k).argmax.delta
+    params = SchemeParams(epsilon, k, tuple(delta))
+    n = 1 << log2_messages
+    cons = RllConstraint(0, k)
+    hist = np.zeros(k + 2, dtype=np.int64)
+    rates = []
+    total_uses = errors = violations = censored = erasures = 0
+    for t in range(trials):
+        s_msg, s_ch = np.random.SeedSequence(entropy=(seed, t)).spawn(2)
+        m = int(np.random.default_rng(s_msg).integers(n))
+        transcript = []
+        try:
+            m_hat, uses, x_seq = transmit_message(
+                m, n, params, BecChannel(epsilon, s_ch), max_uses=max_uses, transcript=transcript)
+            errors += m_hat != m
+            rates.append(log2_messages / uses)
+        except UseBudgetExceeded:
+            censored += 1
+            uses = len(transcript)
+            x_seq = [x for x, _ in transcript]
+        total_uses += uses
+        violations += first_violation(cons, x_seq) is not None
+        erasures += sum(y is None for _, y in transcript)
+        lab = label_of(0)
+        for _, y in transcript:
+            hist[lab] += 1
+            lab = next_label(lab, y, k)
+    total_bits = float(log2_messages * (trials - censored))
+    names = label_names(k)
+    return SimReport(
+        trials=trials,
+        total_uses=total_uses,
+        total_bits=total_bits,
+        empirical_rate=total_bits / total_uses if total_uses else 0.0,
+        mean_trial_rate=float(np.mean(rates)) if rates else 0.0,
+        stderr_rate=float(np.std(rates, ddof=1) / math.sqrt(len(rates))) if len(rates) >= 2 else 0.0,
+        errors=errors,
+        violations=violations,
+        censored=censored,
+        erasures=erasures,
+        label_histogram={names[i]: int(hist[i]) for i in range(k + 2)},
+    )
 
 
 class TestBecChannel:
@@ -39,6 +98,22 @@ class TestBecChannel:
         a = BecChannel(0.4, seed=123)
         b = BecChannel(0.4, seed=123)
         assert [a(1) for _ in range(200)] == [b(1) for _ in range(200)]
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 1000])
+    def test_one_draw_per_use(self, n):
+        # the lockstep simulator draws each trial's erasures in blocks and
+        # relies on them equalling the channel's draws one by one
+        for eps, seed in ((0.3, 1), (0.0, 2), (1.0, 3), (0.6, np.random.SeedSequence((4, 5)))):
+            ch = BecChannel(eps, seed)
+            expected = np.random.default_rng(seed).random(n) < eps
+            assert [ch(1) is None for _ in range(n)] == expected.tolist()
+
+    def test_simulator_blocks_are_the_channel_draws(self):
+        seq = np.random.SeedSequence((3, 17), spawn_key=(1,))
+        ch = BecChannel(0.4, seq)
+        erased = [ch(0) is None for _ in range(4 * sim._BLOCK)]
+        for start in (0, sim._BLOCK, 3 * sim._BLOCK):
+            assert sim._erasures(seq, start, 0.4).tolist() == erased[start:start + sim._BLOCK]
 
     def test_erasure_fraction(self):
         ch = BecChannel(0.3, seed=9)
@@ -107,6 +182,79 @@ class TestRunFeedbackSim:
         # without a cap the first session would never end
         with pytest.raises(DomainError):
             run_feedback_sim(2, 1.0, 8, 1)
+
+    @pytest.mark.parametrize("delta", [(0.0,), (1e-15,)])
+    def test_unbounded_sessions_need_a_use_cap(self, delta):
+        # delta_0 = 0 without erasures shrinks the live set by one message
+        # per use: about 2**62 uses; 1e-15 would take about 1.2e15
+        with pytest.raises(DomainError, match="max_uses"):
+            run_feedback_sim(1, 0.0, 62, 1, delta=delta)
+        rep = run_feedback_sim(1, 0.0, 62, 2, delta=delta, max_uses=300)
+        assert rep.censored == 2
+        assert rep.total_uses == 600
+
+    def test_use_bound_follows_the_rate(self):
+        # rate about 1e-3: one bit takes about 1e3 expected uses and runs,
+        # while at rate about 1e-5, 62 bits would take about 6e6
+        rep = run_feedback_sim(1, 0.999, 1, 1)
+        assert rep.censored == 0 and rep.errors == 0
+        with pytest.raises(DomainError, match="max_uses"):
+            run_feedback_sim(1, 1 - 1e-5, 62, 1)
+
+    def test_erasure_counts(self):
+        assert run_feedback_sim(2, 0.0, 16, 10, seed=1).erasures == 0
+        rep = run_feedback_sim(2, 1.0, 10, 5, delta=(0.4, 0.3), max_uses=50, seed=0)
+        assert rep.erasures == rep.total_uses == 250
+        rep = run_feedback_sim(2, 0.3, 62, 200, seed=2)
+        sigma = math.sqrt(rep.total_uses * 0.3 * 0.7)
+        assert abs(rep.erasures - 0.3 * rep.total_uses) <= 4 * sigma
+
+
+# (k, epsilon, log2_messages, trials, delta, max_uses)
+REFERENCE_CONFIGS = [
+    (1, 0.0, 62, 13, "optimal", None),
+    (2, 0.3, 62, 37, "optimal", None),
+    (3, 0.6, 62, 11, (0.5, 0.5, 0.5), None),
+    (8, 0.3, 62, 9, "optimal", None),
+    (2, 0.3, 62, 15, (0.4, 0.0), None),
+    (3, 0.6, 62, 8, (0.45, 0.0, 0.5), None),
+    (3, 0.0, 1, 20, "optimal", None),
+    (1, 0.6, 1, 21, (0.5,), None),
+    (1, 0.9, 62, 6, (0.5,), None),  # about 650 uses per trial: erasure refills
+    (2, 1.0, 16, 5, (0.4, 0.3), 600),
+    (2, 0.6, 62, 25, "optimal", 150),
+    (1, 0.0, 62, 3, (0.0,), 0),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("k, eps, log2_messages, trials, delta, max_uses", REFERENCE_CONFIGS)
+    def test_report_equals_per_trial_run(self, k, eps, log2_messages, trials, delta, max_uses):
+        got = run_feedback_sim(k, eps, log2_messages, trials, delta=delta, seed=3, max_uses=max_uses)
+        assert got == reference_sim(k, eps, log2_messages, trials, delta, seed=3, max_uses=max_uses)
+
+    def test_constraint_check_sees_the_bits_sent(self, monkeypatch):
+        # a coder that reports '0' for every bit it sends: with 8 messages
+        # and delta = (1/2, 1/2) each session needs at least 3 uses, so each
+        # one breaks k = 2, censored or not
+        class ZeroSender(codec.ArrayCodec):
+            def step(self, *args):
+                x, labels, lo, hi = super().step(*args)
+                return np.zeros_like(x), labels, lo, hi
+
+        monkeypatch.setattr(codec, "ArrayCodec", ZeroSender)
+        assert run_feedback_sim(2, 0.0, 3, 20, delta=(0.5, 0.5)).violations == 20
+        assert run_feedback_sim(2, 1.0, 3, 20, delta=(0.5, 0.5), max_uses=3).violations == 20
+
+    def test_blocks_and_chunks_do_not_show(self, monkeypatch):
+        # short erasure blocks and trial chunks: many refills, 23 trials in
+        # chunks of 7, and sessions that outlast several blocks
+        monkeypatch.setattr(sim, "_BLOCK", 16)
+        monkeypatch.setattr(sim, "_CHUNK", 7)
+        for args in ((2, 0.3, 62, 23, "optimal", None), (1, 0.6, 62, 9, (0.5,), 120)):
+            k, eps, log2_messages, trials, delta, max_uses = args
+            got = run_feedback_sim(k, eps, log2_messages, trials, delta=delta, seed=8, max_uses=max_uses)
+            assert got == reference_sim(k, eps, log2_messages, trials, delta, seed=8, max_uses=max_uses)
 
 
 class TestLabelOccupancy:
