@@ -14,7 +14,10 @@ capacity_12 solve the first-order condition (1-x)^(c+d) = x^c of a
 ratio H2(x) / (c + d*x). fb_upper_2inf runs Dinkelbach's iteration on a
 three-parameter ratio, bisecting the multiplier of its simplex
 constraint. grid_max_rate() and ub_12_two_param() brute-force the same
-objectives as independent oracles.
+objectives as independent oracles. The (0,k) grid never lists its points:
+rate() splits into prefix and suffix partial sums over the axes, and the
+cube is scored as blocks of prefix rows against the suffix, at most
+_CHUNK_ROWS scores each.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ class CapacityResult:
 
 
 def _rate_rows(epsilon, deltas):
-    """Rate of each row of an (n, k) array; the grid oracle's kernel."""
+    """Rate of each row of an (n, k) array; the grid oracle's refinement kernel."""
     deltas = np.asarray(deltas, dtype=float)
     eb = 1.0 - epsilon
     n, k = deltas.shape
@@ -245,13 +248,54 @@ def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     return CapacityResult(_rate(epsilon, delta), params, residual)
 
 
+def _partial_sums(values, weights):
+    """The rate's partial sums over consecutive axes of the grid.
+
+    Each of the J = len(weights) axes runs over `values`; axis j has
+    weight w_j. Returns three flat arrays over the values^J points in C
+    order:
+
+        num  = sum_j w_j * H2(d_j) * prod_{m<j} d_m
+        den  = sum_j w_j * prod_{m<=j} d_m
+        prod = prod_j d_j
+
+    built from the back with one broadcast multiply-add per axis, so H2
+    is evaluated once per value. J = 0 gives the empty sums (0, 0, 1).
+    """
+    num, den, prod = np.zeros(1), np.zeros(1), np.ones(1)
+    if len(weights):
+        col = values[:, None]
+        ent = h2(values)[:, None]
+        for w in weights[::-1]:
+            num = (w * ent + col * num).ravel()
+            den = (col * (w + den)).ravel()
+            prod = (col * prod).ravel()
+    return num, den, prod
+
+
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
     """Brute-force maximum of rate() over the full [0, 1]^k cube.
 
-    A uniform grid with grid_n points per axis, evaluated in bounded
-    chunks, followed by one round of coordinate-wise refinement around
-    the winning cell. This is the independent oracle confirming that
-    the one-dimensional reduction misses nothing in the interior.
+    A uniform grid with grid_n points per axis, followed by one round of
+    coordinate-wise refinement around the winning cell. This is the
+    independent oracle confirming that the one-dimensional reduction
+    misses nothing in the interior.
+
+    The cube is never built point by point. With the axes split into a
+    prefix d_0..d_{s-1} and a suffix d_s..d_{k-1}, every point's rate is
+
+        (Pnum + Pprod * Snum) / (1 + Pden + Pprod * Sden)
+
+    where P and S are the _partial_sums of the two sides (weights
+    (1-eps)^(i+1)). The suffix is the longest run of trailing axes with
+    at most _CHUNK_ROWS points, and at least the last axis, so under the
+    budget the prefix has fewer than 100 * grid_n points. The scan
+    takes blocks of whole prefix rows against the suffix, at most
+    _CHUNK_ROWS scores each; a single trailing axis longer than that is
+    cut into segments of _CHUNK_ROWS values, one prefix row at a time.
+    Blocks run in C order and keep the first argmax. The scores differ
+    from the row kernel _rate_rows in the last bits, so the winner is
+    scored again with _rate_rows, which the refinement uses too.
 
     Returns:
         (value, point) with point a length-k array.
@@ -267,20 +311,36 @@ def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
     if total > _GRID_BUDGET:
         raise BudgetExceeded(f"{grid_n}^{k} = {total} points exceeds the {_GRID_BUDGET} budget")
     axis = np.linspace(0.0, 1.0, grid_n)
+    weights = (1.0 - epsilon) ** np.arange(1, k + 1)
+    s = k - 1
+    while s > 0 and grid_n ** (k - s + 1) <= _CHUNK_ROWS:
+        s -= 1
+    pnum, pden, pprod = _partial_sums(axis, weights[:s])
+    pden += 1.0
+    n_suffix = grid_n ** (k - s)
+    seg = min(n_suffix, _CHUNK_ROWS)
+    rows = _CHUNK_ROWS // seg
+    # only a single trailing axis is ever cut, so a segment's partial
+    # sums are those of a shorter axis; built once when there is one
+    whole = _partial_sums(axis, weights[s:]) if seg == n_suffix else None
     best_val = -1.0
-    best_pt = None
-    for lo in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(lo, min(lo + _CHUNK_ROWS, total))
-        pts = np.empty((idx.size, k))
-        rem = idx
-        for j in range(k - 1, -1, -1):
-            pts[:, j] = axis[rem % grid_n]
-            rem = rem // grid_n
-        vals = _rate_rows(epsilon, pts)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_pt = pts[i].copy()
+    best_idx = None
+    for p0 in range(0, pnum.size, rows):
+        p = slice(p0, p0 + rows)
+        for a in range(0, n_suffix, seg):
+            snum, sden, _ = whole or _partial_sums(axis[a:a + seg], weights[s:])
+            vals = pprod[p, None] * snum
+            vals += pnum[p, None]
+            den = pprod[p, None] * sden
+            den += pden[p, None]
+            vals /= den
+            i = int(np.argmax(vals))
+            if vals.flat[i] > best_val:
+                best_val = float(vals.flat[i])
+                row, col = divmod(i, vals.shape[1])
+                best_idx = (p0 + row) * n_suffix + a + col
+    best_pt = axis[np.array(np.unravel_index(best_idx, (grid_n,) * k))]
+    best_val = float(_rate_rows(epsilon, best_pt[None, :])[0])
     h = 1.0 / (grid_n - 1)
     for j in range(k):
         cand = np.clip(np.linspace(best_pt[j] - h, best_pt[j] + h, 201), 0.0, 1.0)

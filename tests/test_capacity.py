@@ -1,6 +1,8 @@
 """Closed-form rates, the backward recursion, and the maximizers."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +196,42 @@ class TestGridSearch:
         val, pt = grid_argmax_rate(0.25, 2, 101)
         assert pt.shape == (2,)
         assert abs(rate(SchemeParams(0.25, 2, tuple(pt))) - val) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("grid_n", [2, 3, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_scalar_rate(self, k, grid_n, eps):
+        # eps = 1 zeroes every weight; the axis ends 0 and 1 have H2 = 0
+        val, pt = grid_argmax_rate(eps, k, grid_n)
+        axis = np.linspace(0.0, 1.0, grid_n)
+        cube = max(rate(SchemeParams(eps, k, p)) for p in itertools.product(axis, repeat=k))
+        assert val >= cube - 1e-15
+        assert val <= feedback_capacity(eps, k).value + 1e-12
+        assert abs(rate(SchemeParams(eps, k, tuple(pt))) - val) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("k, grid_n", [(3, 11), (4, 6), (1, 50)])
+    def test_chunking_invariance(self, monkeypatch, k, grid_n, chunk, eps):
+        # (1, 50) cuts a single axis longer than one chunk into segments;
+        # eps = 1 ties every point at 0, so the first in C order must win
+        val, pt = grid_argmax_rate(eps, k, grid_n)
+        monkeypatch.setattr("rllbec.capacity._CHUNK_ROWS", chunk)
+        val_c, pt_c = grid_argmax_rate(eps, k, grid_n)
+        assert val_c == val
+        assert np.array_equal(pt_c, pt)
+
+    @pytest.mark.parametrize("k, grid_n, mib", [(4, 41, 64), (1, 3_000_000, 128)])
+    def test_traced_memory_peak(self, k, grid_n, mib):
+        # tracemalloc sees numpy's data buffers; the single long axis
+        # holds only the partial sums of one segment at a time
+        tracemalloc.start()
+        try:
+            grid_argmax_rate(0.3, k, grid_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -48,7 +48,8 @@ class TestSweep:
         path = tmp_path / "curves.csv"
         code, out, _ = run_cli(capsys, self.ARGS + ["--out", str(path)])
         assert code == 0 and out == ""
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         # 3 grid points x (2 fb0k + 1 each of the other four curves)
         assert len(rows) == 18
         eps_order = [float(r["epsilon"]) for r in rows]
