@@ -46,10 +46,16 @@ def h2(p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError(f"entropy argument outside [0, 1]: {p!r}")
-    out = np.zeros_like(arr)
-    mask = (arr > 0.0) & (arr < 1.0)
-    q = arr[mask]
-    out[mask] = -(q * np.log2(q) + (1.0 - q) * np.log2(1.0 - q))
+    # -(q log2 q + (1 - q) log2(1 - q)) inside (0, 1) and +0.0 elsewhere,
+    # in three input-sized arrays
+    inner = (arr > 0.0) & (arr < 1.0)
+    out = np.log2(arr, out=np.zeros_like(arr), where=inner)
+    np.multiply(out, arr, out=out, where=inner)
+    rest = np.subtract(1.0, arr, out=np.zeros_like(arr), where=inner)
+    log_rest = np.log2(rest, out=np.zeros_like(arr), where=inner)
+    np.multiply(log_rest, rest, out=log_rest, where=inner)
+    np.add(out, log_rest, out=out, where=inner)
+    np.negative(out, out=out, where=inner)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -415,6 +421,13 @@ def fb_upper_2inf(epsilon: float) -> float:
     point has sum <= 1 and otherwise the bisected root of sum_i x_i = 1
     (a coordinate of weight (1-eps)*eps^i = 0 stays at 0). Every R is
     the objective at a feasible point.
+
+    The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
+    eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
+    The noncausal maximizer x, the root of (1-x)^(c+2) = x^c with
+    c = 1/(1-eps), rises with eps and reaches 1/3 at eps*; up to there
+    the diagonal point (x, x, x) is feasible and is the maximum, and
+    beyond it that point leaves the simplex.
     """
     _check_eps(epsilon)
     if epsilon == 1.0:

@@ -221,6 +221,16 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     return session.live.lo, session.uses, x_seq
 
 
+def mul128(a, b):
+    """Full 128-bit product of uint64 arrays a and b, as the pair (high, low)
+    of uint64 words, built from 32-bit halves so no partial product wraps."""
+    a_lo, a_hi = a & _LOW32, a >> 32
+    b_lo, b_hi = b & _LOW32, b >> 32
+    t = a_hi * b_lo + ((a_lo * b_lo) >> 32)  # at most (2**32 - 1) * 2**32
+    u = (t & _LOW32) + a_lo * b_hi           # likewise
+    return a_hi * b_hi + (t >> 32) + (u >> 32), a * b
+
+
 class ArrayCodec:
     """One channel use of many sessions at once, on int64 arrays.
 
@@ -229,8 +239,8 @@ class ArrayCodec:
     zero_counts() that of partition's count; the scalar functions stay
     the specification. Live sizes lie below 2**63, and the '0' block
     size floor(delta_j * a) is exact there: a float delta_j is p / 2**e
-    with p < 2**53, so the size is the 128-bit product p * a, built from
-    32-bit halves, shifted right by e.
+    with p < 2**53, so the size is the 128-bit product p * a (mul128)
+    shifted right by e.
 
     Raises:
         DomainError: some delta_j > 1/2, as transmit_message does.
@@ -246,7 +256,7 @@ class ArrayCodec:
                 num, den = params.delta_ratios[delta_index(label)]
                 # a product below 2**116 shifted by 127 is 0, as by any e above
                 p[label], e[label] = num, min(den.bit_length() - 1, 127)
-        self._p_lo, self._p_hi, self._e = p & _LOW32, p >> 32, e
+        self._p, self._e = p, e
         self._bump = np.arange(k + 2) != label_of(k)
         # next_label by (rule, output), output 2 standing for an erasure
         self._next = np.array([[next_label(lab, y, k) for y in (0, 1, None)]
@@ -254,13 +264,8 @@ class ArrayCodec:
 
     def zero_counts(self, labels, sizes):
         """partition(label, size, params)[0] of each (label, size) pair."""
-        a = sizes.astype(np.uint64)
-        a_lo, a_hi = a & _LOW32, a >> 32
-        p_lo, p_hi, e = self._p_lo[labels], self._p_hi[labels], self._e[labels]
-        low = a_lo * p_lo
-        mid = a_lo * p_hi + a_hi * p_lo  # below 2**53 + 2**63
-        lo64 = low + (mid << 32)
-        hi64 = a_hi * p_hi + (mid >> 32) + (lo64 < low)
+        e = self._e[labels]
+        hi64, lo64 = mul128(sizes.astype(np.uint64), self._p[labels])
         s = e & 63
         # (hi64 << 1) << (63 - s) is hi64 << (64 - s), and 0 at s = 0
         zc = np.where(e < 64, (lo64 >> s) | ((hi64 << 1) << (63 - s)), hi64 >> s).astype(np.int64)

@@ -28,6 +28,7 @@ from rllbec import (
 )
 
 LOG2_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
+EPS_STAR = 1.0 - 1.0 / math.log2(9.0 / 4.0)  # where fb-ub-2inf leaves nc-dinf at d = 2
 INV_GOLDEN_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
@@ -55,6 +56,23 @@ class TestH2:
             h2(1.2)
         with pytest.raises(DomainError):
             h2(-0.1)
+
+    def test_traced_memory_peak(self):
+        # three input-sized float arrays (24 MB) and the boolean masks
+        p = np.linspace(0.0, 1.0, 10 ** 6)
+        tracemalloc.start()
+        try:
+            h2(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2 ** 20
+
+    def test_ends_are_positive_zero(self):
+        out = h2(np.array([0.0, 1.0, 0.5]))
+        assert out.tolist() == [0.0, 0.0, 1.0]
+        assert not np.signbit(out).any()
+        assert not np.signbit(h2(0.0)) and not np.signbit(h2(1.0))
 
 
 class TestSchemeParams:
@@ -278,9 +296,36 @@ class TestFbUpper2Inf:
 
     def test_mediant_bound(self):
         # the objective is a mediant of terms H2(x_i) / (1/(1-eps) + 2*x_i),
-        # each at most nc-dinf at d = 2; below eps ~ 0.2 the two are equal
+        # each at most nc-dinf at d = 2; up to EPS_STAR the two are equal
         for eps in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             assert fb_upper_2inf(eps) <= nc_capacity_d_inf(eps, 2).value + 1e-12
+
+    @staticmethod
+    def gap(eps):
+        return nc_capacity_d_inf(eps, 2).value - fb_upper_2inf(eps)
+
+    def test_no_gap_up_to_the_threshold(self):
+        # the diagonal point (x, x, x) at the noncausal maximizer x is
+        # feasible while x <= 1/3, and then it is the maximum
+        for eps in np.linspace(0.0, EPS_STAR - 1e-3, 30):
+            assert abs(self.gap(eps)) <= 1e-15
+
+    def test_gap_opens_above_the_threshold(self):
+        gaps = [self.gap(eps) for eps in (EPS_STAR + 1e-3, EPS_STAR + 1e-2, 0.2, 0.5)]
+        assert gaps[0] > 0.0
+        assert gaps == sorted(set(gaps))
+
+    def test_threshold_closed_form(self):
+        # x = 1/3 solves (1-x)^(c+2) = x^c at c = 1/(1-eps) = log2(9/4)
+        x = 1.0 / 3.0
+        c = 1.0 / (1.0 - EPS_STAR)
+        assert abs((1.0 - x) ** (c + 2.0) - x ** c) <= 1e-15
+        # the gap grows quadratically, so it passes 1e-13 just above EPS_STAR
+        lo, hi = 0.1, 0.2
+        while hi - lo > 1e-7:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if self.gap(mid) > 1e-13 else (mid, hi)
+        assert abs(hi - EPS_STAR) <= 1e-4
 
     def test_at_least_a_feasible_witness(self):
         eps, x = 0.4, (0.356152, 0.340602, 0.303245)

@@ -101,19 +101,46 @@ class TestBecChannel:
 
     @pytest.mark.parametrize("n", [1, 7, 256, 1000])
     def test_one_draw_per_use(self, n):
-        # the lockstep simulator draws each trial's erasures in blocks and
-        # relies on them equalling the channel's draws one by one
+        # the lockstep simulator takes one draw of each trial's channel
+        # stream per use and relies on it equalling the channel's decision
         for eps, seed in ((0.3, 1), (0.0, 2), (1.0, 3), (0.6, np.random.SeedSequence((4, 5)))):
             ch = BecChannel(eps, seed)
             expected = np.random.default_rng(seed).random(n) < eps
             assert [ch(1) is None for _ in range(n)] == expected.tolist()
 
-    def test_simulator_blocks_are_the_channel_draws(self):
-        seq = np.random.SeedSequence((3, 17), spawn_key=(1,))
-        ch = BecChannel(0.4, seq)
-        erased = [ch(0) is None for _ in range(4 * sim._BLOCK)]
-        for start in (0, sim._BLOCK, 3 * sim._BLOCK):
-            assert sim._erasures(seq, start, 0.4).tolist() == erased[start:start + sim._BLOCK]
+    def test_simulator_streams_are_numpys(self):
+        # trial t's message is the first draw of child 0, and its channel
+        # the draws of child 1, of SeedSequence((seed, t)): seeds and trial
+        # indices from 2**32 on take more entropy words, and one t array
+        # mixes both word counts
+        t = [0, 1, 2**32 - 1, 2**32, 2**40]
+        draws = 600
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100):
+            children = [[np.random.SeedSequence((seed, ti), spawn_key=(which,)) for ti in t]
+                        for which in (0, 1)]
+            hi, lo, inc_hi, inc_lo = sim._generator(seed, np.array(t, dtype=np.uint64), 1)
+            raw = []
+            for _ in range(draws):
+                hi, lo, r = sim._next_raw(hi, lo, inc_hi, inc_lo)
+                raw.append(r)
+            raw = np.array(raw).T
+            for row, s_ch in zip(raw, children[1]):
+                assert row.tolist() == np.random.PCG64(s_ch).random_raw(draws).tolist()
+                for eps in (0.0, 0.3, 0.999, 1.0):
+                    ch = BecChannel(eps, s_ch)
+                    assert sim._erased(row, eps).tolist() == [ch(1) is None for _ in range(draws)]
+            first = sim._next_raw(*sim._generator(seed, np.array(t, dtype=np.uint64), 0))[2]
+            for log2_messages in range(1, 63):
+                m = sim._message(first, log2_messages)
+                assert m.dtype == np.int64
+                assert m.tolist() == [int(np.random.default_rng(s).integers(2**log2_messages))
+                                      for s in children[0]]
+
+    def test_erasure_threshold_is_strict(self):
+        # random() equal to epsilon is delivered, as in BecChannel
+        raw = np.array([1 << 11, 3 << 11, 2**64 - 1], dtype=np.uint64)
+        assert sim._erased(raw, 3 * 2.0**-53).tolist() == [True, False, False]
+        assert sim._erased(raw, 1.0).tolist() == [True, True, True]
 
     def test_erasure_fraction(self):
         ch = BecChannel(0.3, seed=9)
@@ -177,6 +204,16 @@ class TestRunFeedbackSim:
             run_feedback_sim(1, 0.0, 8, 1, delta=(0.6,))
         with pytest.raises(DomainError):
             run_feedback_sim(1, 0.0, 8, 1, delta="best")
+
+    @pytest.mark.parametrize("seed", [None, 1.5, -1])
+    def test_rejects_bad_seeds(self, seed, monkeypatch):
+        # before any trial runs
+        monkeypatch.setattr(sim, "_lockstep", None)
+        with pytest.raises(DomainError, match="seed"):
+            run_feedback_sim(2, 0.3, 8, 3, seed=seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        assert run_feedback_sim(2, 0.3, 8, 5, seed=np.int64(4)) == run_feedback_sim(2, 0.3, 8, 5, seed=4)
 
     def test_full_erasure_needs_a_use_cap(self):
         # without a cap the first session would never end
@@ -247,9 +284,8 @@ class TestAgainstReference:
         assert run_feedback_sim(2, 1.0, 3, 20, delta=(0.5, 0.5), max_uses=3).violations == 20
 
     def test_blocks_and_chunks_do_not_show(self, monkeypatch):
-        # short erasure blocks and trial chunks: many refills, 23 trials in
-        # chunks of 7, and sessions that outlast several blocks
-        monkeypatch.setattr(sim, "_BLOCK", 16)
+        # short trial chunks: 23 trials in chunks of 7, and capped sessions
+        # that run to 120 uses
         monkeypatch.setattr(sim, "_CHUNK", 7)
         for args in ((2, 0.3, 62, 23, "optimal", None), (1, 0.6, 62, 9, (0.5,), 120)):
             k, eps, log2_messages, trials, delta, max_uses = args
