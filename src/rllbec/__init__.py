@@ -2,7 +2,6 @@
 binary erasure channels."""
 
 from .capacity import (
-    BudgetExceeded,
     CapacityResult,
     DomainError,
     SchemeParams,
@@ -16,7 +15,6 @@ from .capacity import (
     nc_capacity_d_inf,
     rate,
     stationarity_residual,
-    ub_12_two_param,
 )
 from .codec import (
     TILDE0,
@@ -63,10 +61,10 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "CapacityResult", "DomainError", "SchemeParams",
+    "CapacityResult", "DomainError", "SchemeParams",
     "capacity_12", "delta_chain", "fb_upper_2inf", "feedback_capacity",
     "grid_argmax_rate", "grid_max_rate", "h2", "nc_capacity_d_inf", "rate",
-    "stationarity_residual", "ub_12_two_param",
+    "stationarity_residual",
     "TILDE0", "ArrayCodec", "EmptySet", "MessageInterval", "MessageOutsideLiveSet",
     "SchemeSession", "UseBudgetExceeded", "input_bit", "label_names",
     "label_of", "next_label", "partition", "transmit_message", "update_live",

@@ -7,17 +7,13 @@ consecutive '0's. rate() scores such a vector in bits per channel use,
 and delta_chain() generates the unique vector satisfying the
 stationarity identities given its last entry.
 
-Each capacity is the root of a monotone scalar equation, bisected to
-adjacent floats: feedback_capacity solves C = log2((1-d)/d) in the last
-parameter d (the certificate of its optimum), and nc_capacity_d_inf and
-capacity_12 solve the first-order condition (1-x)^(c+d) = x^c of a
-ratio H2(x) / (c + d*x). fb_upper_2inf runs Dinkelbach's iteration on a
-three-parameter ratio, bisecting the multiplier of its simplex
-constraint. grid_max_rate() and ub_12_two_param() brute-force the same
-objectives as independent oracles. The (0,k) grid never lists its points:
-rate() splits into prefix and suffix partial sums over the axes, and the
-cube is scored as blocks of prefix rows against the suffix, at most
-_CHUNK_ROWS scores each.
+Every capacity is the maximum of a ratio N(x)/D(x), found by one
+Dinkelbach iteration (_dinkelbach) on F(R) = max_x N - R*D. For the
+(0,k) rate, F has a backward recursion over the k stages with a closed
+form at each one, and F(R) <= 0 certifies rate <= R over the whole cube
+[0, 1]^k. The grid oracle runs the same recursion with each stage
+maximized over a grid axis. nc_capacity_d_inf and capacity_12 are the
+one-stage case; fb_upper_2inf maximizes N - R*D at a KKT point.
 """
 
 from __future__ import annotations
@@ -32,13 +28,9 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a formula."""
 
 
-class BudgetExceeded(RuntimeError):
-    """A grid search was asked for more evaluations than allowed."""
-
-
 _MAX_STEPS = 200  # caps every solver loop; bisection to a root in [2**-140, 1] needs fewer
-_GRID_BUDGET = 10 ** 8
-_CHUNK_ROWS = 1_000_000
+_MARGIN = 1e-14  # added to a Dinkelbach level to cover the rounding of the ratio
+_MAX_AXIS = 10 ** 7  # grid points per axis of the grid oracle
 
 
 def h2(p):
@@ -102,24 +94,14 @@ class SchemeParams:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """A maximized rate, its maximizer, and the stationarity residual there."""
+    """A maximized rate, its maximizer, the stationarity residual there,
+    and upper, a bound that no point of the domain exceeds.
+    """
 
     value: float
     argmax: SchemeParams
     residual: float
-
-
-def _rate_rows(epsilon, deltas):
-    """Rate of each row of an (n, k) array; the grid oracle's refinement kernel."""
-    deltas = np.asarray(deltas, dtype=float)
-    eb = 1.0 - epsilon
-    n, k = deltas.shape
-    powers = eb ** np.arange(1, k + 1)
-    running = np.cumprod(deltas, axis=1)  # prod_{m<=i} delta_m
-    before = np.hstack([np.ones((n, 1)), running[:, :-1]])  # prod_{m<i}
-    num = (powers * h2(deltas) * before).sum(axis=1)
-    den = 1.0 + (powers * running).sum(axis=1)
-    return num / den
+    upper: float
 
 
 def rate(params: SchemeParams) -> float:
@@ -133,7 +115,7 @@ def rate(params: SchemeParams) -> float:
 
 
 def _rate(epsilon, delta):
-    """rate() of a sequence of parameters, term by term as in _rate_rows."""
+    """rate() of a sequence of parameters, without numpy."""
     eb = 1.0 - epsilon
     num = tail = 0.0
     before = 1.0  # prod_{m<i} delta_m
@@ -221,143 +203,101 @@ def _bisect(before, lo, hi):
     return hi
 
 
+def _dinkelbach(maximizer, ratio):
+    """Maximum of a ratio N(x)/D(x) with D > 0, and a point attaining it.
+
+    maximizer(R) returns (F, x): x maximizes N - R*D, and F has the sign
+    of F(R) = max_x N - R*D, which is convex and decreasing with the
+    maximum ratio as its root. Starting at R = 0, R <- ratio(x) climbs
+    superlinearly; the loop stops once F(R) <= 0, which proves R is the
+    maximum, or R stops rising. Returns R and the maximizer at R.
+    """
+    level = 0.0
+    surplus, x = maximizer(level)
+    for _ in range(_MAX_STEPS):
+        r = ratio(x)
+        if surplus <= 0.0 or r <= level:
+            break
+        level = r
+        surplus, x = maximizer(level)
+    return level, x
+
+
+def _stage(a):
+    """max over x of H2(x) - a*x, log2(1 + 2^-a) without overflow, and the
+    maximizer 1/(1 + 2^a) clamped to x <= 1/2. At the solvers' roots
+    a >= 0, so the clamp only keeps rounding from breaking the codec's
+    constraint safety.
+    """
+    return max(-a, 0.0) + math.log2(1.0 + 2.0 ** -abs(a)), 1.0 / (1.0 + 2.0 ** max(a, 0.0))
+
+
+def _zero_run_max(epsilon, k, stage):
+    """_dinkelbach on rate() over a product set, stage(a) maximizing each axis.
+
+    N - R*D = sum_i w_i * prod_{m<i} delta_m * (H2(delta_i) - R*delta_i) - R
+    with w_i = (1-eps)^(i+1), so the maximum over delta_i..delta_{k-1},
+    over w_i * prod_{m<i} delta_m, is u_i = max_x H2(x) - a_i*x with
+    a_i = R - (1-eps)*u_{i+1} and u_k = 0; F(R) = (1-eps)*u_0 - R.
+    """
+    eb = 1.0 - epsilon
+
+    def maximizer(level):
+        u, point = 0.0, [0.0] * k
+        for i in range(k - 1, -1, -1):
+            u, point[i] = stage(level - eb * u)
+        return eb * u - level, point
+
+    return _dinkelbach(maximizer, lambda delta: _rate(epsilon, delta))
+
+
 def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     """Largest achievable rate with output feedback, zero-runs capped at k.
 
-    The k-dimensional maximization collapses onto the delta_chain
-    manifold (the interior optimum must satisfy the stationarity
-    identities), leaving the last parameter d = delta_{k-1}. At the
-    maximum the first-order condition in d reads
+    The maximum of rate() over the whole cube [0, 1]^k, with the closed
+    form of every stage of _zero_run_max. The last stage gives the
+    paper's first-order condition C = log2((1 - d)/d) in d = delta_{k-1},
+    and the others the stationarity identities of delta_chain. Every
+    delta_j lies in [1/3, 1/2]. upper is the value plus _MARGIN, where
+    F(upper) < 0: no point of the cube has a higher rate.
 
-        C = rate(delta_chain(d)) = log2((1 - d) / d),
-
-    so d is the root of g(d) = rate(delta_chain(d)) - log2((1-d)/d) on
-    (0, 1/2]: g tends to -inf as d -> 0+ and g(1/2) = rate >= 0, with a
-    single sign change in between (a 4000-point scan finds one at every
-    k and eps tried, k up to 64). d is bisected to adjacent floats;
-    |g(d)| at the returned point is the certificate gap, below 1e-12.
-
-    epsilon = 1 returns exactly 0 with d = 1/2, the limit of the root.
+    epsilon = 1 returns exactly 0 with every delta_j = 1/2.
     """
     _check_eps(epsilon)
     _check_k(k)
-    if epsilon == 1.0:
-        return CapacityResult(0.0, SchemeParams(1.0, k, (0.5,) * k), 0.0)
-
-    def below(d):
-        return _rate(epsilon, delta_chain(d, epsilon, k)) < math.log2((1.0 - d) / d)
-
-    delta = delta_chain(_bisect(below, 0.0, 0.5), epsilon, k)
+    value, delta = _zero_run_max(epsilon, k, _stage)
     params = SchemeParams(epsilon, k, delta)
-    interior = all(0.0 < x < 1.0 for x in delta)
-    residual = stationarity_residual(params) if interior else 0.0
-    return CapacityResult(_rate(epsilon, delta), params, residual)
-
-
-def _partial_sums(values, weights):
-    """The rate's partial sums over consecutive axes of the grid.
-
-    Each of the J = len(weights) axes runs over `values`; axis j has
-    weight w_j. Returns three flat arrays over the values^J points in C
-    order:
-
-        num  = sum_j w_j * H2(d_j) * prod_{m<j} d_m
-        den  = sum_j w_j * prod_{m<=j} d_m
-        prod = prod_j d_j
-
-    built from the back with one broadcast multiply-add per axis, so H2
-    is evaluated once per value. J = 0 gives the empty sums (0, 0, 1).
-    """
-    num, den, prod = np.zeros(1), np.zeros(1), np.ones(1)
-    if len(weights):
-        col = values[:, None]
-        ent = h2(values)[:, None]
-        for w in weights[::-1]:
-            num = (w * ent + col * num).ravel()
-            den = (col * (w + den)).ravel()
-            prod = (col * prod).ravel()
-    return num, den, prod
+    return CapacityResult(value, params, stationarity_residual(params), value + _MARGIN)
 
 
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
-    """Brute-force maximum of rate() over the full [0, 1]^k cube.
+    """Exact maximum of rate() over the grid_n^k points of a uniform grid.
 
-    A uniform grid with grid_n points per axis, followed by one round of
-    coordinate-wise refinement around the winning cell. This is the
-    independent oracle confirming that the one-dimensional reduction
-    misses nothing in the interior.
-
-    The cube is never built point by point. With the axes split into a
-    prefix d_0..d_{s-1} and a suffix d_s..d_{k-1}, every point's rate is
-
-        (Pnum + Pprod * Snum) / (1 + Pden + Pprod * Sden)
-
-    where P and S are the _partial_sums of the two sides (weights
-    (1-eps)^(i+1)). The suffix is the longest run of trailing axes with
-    at most _CHUNK_ROWS points, and at least the last axis, so under the
-    budget the prefix has fewer than 100 * grid_n points. The scan
-    takes blocks of whole prefix rows against the suffix, at most
-    _CHUNK_ROWS scores each; a single trailing axis longer than that is
-    cut into segments of _CHUNK_ROWS values, one prefix row at a time.
-    Blocks run in C order and keep the first argmax. The scores differ
-    from the row kernel _rate_rows in the last bits, so the winner is
-    scored again with _rate_rows, which the refinement uses too.
+    Each stage of _zero_run_max takes the best value on the axis in
+    place of the closed form, so a pass costs k * grid_n scores. The
+    oracle for the closed-form stages of feedback_capacity.
 
     Returns:
         (value, point) with point a length-k array.
 
     Raises:
-        BudgetExceeded: grid_n ** k would exceed 1e8 evaluations.
+        DomainError: grid_n outside [2, 1e7].
     """
     _check_eps(epsilon)
     _check_k(k)
-    if grid_n < 2:
-        raise DomainError(f"need at least 2 grid points per axis, got {grid_n}")
-    total = grid_n ** k
-    if total > _GRID_BUDGET:
-        raise BudgetExceeded(f"{grid_n}^{k} = {total} points exceeds the {_GRID_BUDGET} budget")
+    if not 2 <= grid_n <= _MAX_AXIS:
+        raise DomainError(f"need 2 to {_MAX_AXIS} grid points per axis, got {grid_n}")
     axis = np.linspace(0.0, 1.0, grid_n)
-    weights = (1.0 - epsilon) ** np.arange(1, k + 1)
-    s = k - 1
-    while s > 0 and grid_n ** (k - s + 1) <= _CHUNK_ROWS:
-        s -= 1
-    pnum, pden, pprod = _partial_sums(axis, weights[:s])
-    pden += 1.0
-    n_suffix = grid_n ** (k - s)
-    seg = min(n_suffix, _CHUNK_ROWS)
-    rows = _CHUNK_ROWS // seg
-    # only a single trailing axis is ever cut, so a segment's partial
-    # sums are those of a shorter axis; built once when there is one
-    whole = _partial_sums(axis, weights[s:]) if seg == n_suffix else None
-    best_val = -1.0
-    best_idx = None
-    for p0 in range(0, pnum.size, rows):
-        p = slice(p0, p0 + rows)
-        for a in range(0, n_suffix, seg):
-            snum, sden, _ = whole or _partial_sums(axis[a:a + seg], weights[s:])
-            vals = pprod[p, None] * snum
-            vals += pnum[p, None]
-            den = pprod[p, None] * sden
-            den += pden[p, None]
-            vals /= den
-            i = int(np.argmax(vals))
-            if vals.flat[i] > best_val:
-                best_val = float(vals.flat[i])
-                row, col = divmod(i, vals.shape[1])
-                best_idx = (p0 + row) * n_suffix + a + col
-    best_pt = axis[np.array(np.unravel_index(best_idx, (grid_n,) * k))]
-    best_val = float(_rate_rows(epsilon, best_pt[None, :])[0])
-    h = 1.0 / (grid_n - 1)
-    for j in range(k):
-        cand = np.clip(np.linspace(best_pt[j] - h, best_pt[j] + h, 201), 0.0, 1.0)
-        pts = np.tile(best_pt, (cand.size, 1))
-        pts[:, j] = cand
-        vals = _rate_rows(epsilon, pts)
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_pt = pts[i].copy()
-    return best_val, best_pt
+    ent = h2(axis)
+    score = np.empty_like(axis)
+
+    def best_on_axis(a):
+        np.add(ent, np.multiply(axis, -a, out=score), out=score)
+        i = int(np.argmax(score))
+        return float(score[i]), float(axis[i])
+
+    value, point = _zero_run_max(epsilon, k, best_on_axis)
+    return value, np.array(point)
 
 
 def grid_max_rate(epsilon: float, k: int, grid_n: int) -> float:
@@ -365,16 +305,20 @@ def grid_max_rate(epsilon: float, k: int, grid_n: int) -> float:
     return grid_argmax_rate(epsilon, k, grid_n)[0]
 
 
-def _ratio_max(c, d):
-    """Maximizer and maximum of H2(x) / (c + d*x) over x in [0, 1/2], c, d > 0.
+def _ratio_max(epsilon, b, d):
+    """Maximum of H2(x) / (b/(1-eps) + d*x) over x in [0, 1], b, d > 0.
 
-    Setting the derivative to zero gives (1-x)^(c+d) = x^c. Its log form
-    (c+d)*ln(1-x) - c*ln(x) is strictly decreasing, +inf at 0+ and
-    d*ln(1/2) < 0 at 1/2, so it has exactly one root there: the
-    maximizer, found by bisection to adjacent floats.
+    Solved as (1-eps)*H2(x) / (b + d*(1-eps)*x), which is 0 at eps = 1,
+    with one closed-form stage: N - R*D is largest at x = 1/(1 + 2^(R*d)).
     """
-    x = _bisect(lambda x: (c + d) * math.log1p(-x) - c * math.log(x) > 0.0, 0.0, 0.5)
-    return x, _h2(x) / (c + d * x)
+    eb = 1.0 - epsilon
+
+    def maximizer(level):
+        u, x = _stage(level * d)
+        return eb * u - level * b, x
+
+    value, x = _dinkelbach(maximizer, lambda x: eb * _h2(x) / (b + d * eb * x))
+    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0, value + _MARGIN)
 
 
 def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
@@ -384,7 +328,7 @@ def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     Renewal form: each information symbol costs a geometric(1-eps)
     number of uses until one is delivered, plus d forced '0's whenever
     the symbol is a '1'. Maximizing entropy per expected cost over the
-    '1'-bias x in [0, 1/2] gives
+    '1'-bias x gives
 
         max_x H2(x) / (c + d*x),   c = 1/(1-eps),
 
@@ -395,10 +339,7 @@ def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     _check_eps(epsilon)
     if int(d) != d or d < 1:
         raise DomainError(f"d must be a positive integer, got {d!r}")
-    if epsilon == 1.0:
-        return CapacityResult(0.0, SchemeParams(1.0, 1, (0.0,)), 0.0)
-    x, value = _ratio_max(1.0 / (1.0 - epsilon), d)
-    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0)
+    return _ratio_max(epsilon, 1.0, d)
 
 
 def fb_upper_2inf(epsilon: float) -> float:
@@ -413,14 +354,10 @@ def fb_upper_2inf(epsilon: float) -> float:
     The three parameters are the '1'-biases of the output graph nodes
     that still have an input choice.
 
-    The maximum is the root R of the decreasing F(R) = max_x N - R*D.
-    Dinkelbach's iteration R <- N(x)/D(x), with x the maximizer of
-    N - R*D, climbs to it superlinearly from R = 0 and stops once R no
-    longer rises. N - R*D is concave, so that maximizer is the KKT point
-    x_i = 1 / (1 + 2^(2R + mu/((1-eps)*eps^i))), with mu = 0 if that
-    point has sum <= 1 and otherwise the bisected root of sum_i x_i = 1
-    (a coordinate of weight (1-eps)*eps^i = 0 stays at 0). Every R is
-    the objective at a feasible point.
+    Solved by _dinkelbach. N - R*D is concave, so its maximizer is the
+    KKT point x_i = 1 / (1 + 2^(2R + mu/((1-eps)*eps^i))), with mu = 0
+    if that point has sum <= 1 and otherwise the bisected root of
+    sum_i x_i = 1 (a coordinate of weight (1-eps)*eps^i = 0 stays at 0).
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -430,8 +367,6 @@ def fb_upper_2inf(epsilon: float) -> float:
     beyond it that point leaves the simplex.
     """
     _check_eps(epsilon)
-    if epsilon == 1.0:
-        return 0.0
     eb = 1.0 - epsilon
     w0, w1, w2 = eb, eb * epsilon, eb * epsilon ** 2
     base = 1.0 + epsilon + epsilon ** 2
@@ -453,19 +388,17 @@ def fb_upper_2inf(epsilon: float) -> float:
             # all three x_i equal 1/(1 + 4^level) here, so level < 1/2; at
             # mu = (1-eps)*(1 - 2*level) every x_i <= 1/3
             mu = _bisect(lambda m: mass(level, m) > 1.0, 0.0, eb * (1.0 - 2.0 * level))
-        return bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
+        x = bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
+        # the sign of F(level) = N - level*D, as N/D - level, so that it
+        # agrees with the test that R stops rising
+        return ratio(x) - level, x
 
-    def ratio(x0, x1, x2):
+    def ratio(x):
+        x0, x1, x2 = x
         num = w0 * _h2(x0) + w1 * _h2(x1) + w2 * _h2(x2)
         return num / (base + 2.0 * (w0 * x0 + w1 * x1 + w2 * x2))
 
-    level = 0.0
-    for _ in range(_MAX_STEPS):
-        r = ratio(*maximizer(level))
-        if r <= level:
-            break
-        level = r
-    return level
+    return _dinkelbach(maximizer, ratio)[0]
 
 
 def capacity_12(epsilon: float) -> CapacityResult:
@@ -482,52 +415,4 @@ def capacity_12(epsilon: float) -> CapacityResult:
     epsilon = 1 returns 0 (the limit value).
     """
     _check_eps(epsilon)
-    if epsilon == 1.0:
-        return CapacityResult(0.0, SchemeParams(1.0, 1, (0.0,)), 0.0)
-    eb = 1.0 - epsilon
-    x, value = _ratio_max(1.0 / eb + eb, 1.0)
-    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0)
-
-
-def ub_12_two_param(epsilon: float, grid_n: int = 201) -> float:
-    """Two-parameter cross-check of capacity_12.
-
-    Maximizes, over (x1, x2) in [0, 1]^2 with eb = 1 - eps,
-
-        (eb^2 * H2(x1) + eps*eb * H2(x2)) / (1 + eb^2 + eb^2*x1 + eps*eb*x2).
-
-    The four-node output-driven graph behind the single-parameter
-    formula leaves exactly two nodes an input choice; this is the
-    resulting entropy per expected cost. Its maximum sits on the
-    diagonal x2 = x1 and collapses to the capacity_12 objective, an
-    equality the tests exercise numerically.
-    """
-    _check_eps(epsilon)
-    if grid_n < 2:
-        raise DomainError(f"need at least 2 grid points per axis, got {grid_n}")
-    if epsilon == 1.0:
-        return 0.0
-    eb = 1.0 - epsilon
-
-    def f(x1, x2):
-        num = eb * eb * h2(x1) + epsilon * eb * h2(x2)
-        den = 1.0 + eb * eb + eb * eb * x1 + epsilon * eb * x2
-        return num / den
-
-    axis = np.linspace(0.0, 1.0, grid_n)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    vals = f(g1, g2)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    pt = np.array([axis[i], axis[j]])
-    best = float(vals[i, j])
-    h = 1.0 / (grid_n - 1)
-    for c in range(2):
-        cand = np.clip(np.linspace(pt[c] - h, pt[c] + h, 401), 0.0, 1.0)
-        cols = [np.full_like(cand, pt[m]) for m in range(2)]
-        cols[c] = cand
-        v = f(*cols)
-        i = int(np.argmax(v))
-        if v[i] > best:
-            best = float(v[i])
-            pt[c] = cand[i]
-    return best
+    return _ratio_max(epsilon, 1.0 + (1.0 - epsilon) ** 2, 1.0)

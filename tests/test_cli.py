@@ -127,6 +127,16 @@ class TestSimulate:
         assert code == 2
         assert "max_uses" in err
 
+    def test_optimal_delta_at_long_runs(self, capsys):
+        # the optimal delta_j of k = 64 sit at 1/2 up to rounding; none may
+        # round above it, or constraint safety refuses the run
+        code, out, err = run_cli(capsys, [
+            "simulate", "--k", "64", "--epsilon", "0.2", "--log2-messages", "16",
+            "--trials", "5", "--seed", "1"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["errors"] == 0 and doc["violations"] == 0
+
     def test_unbounded_session_without_cap(self, capsys):
         # delta_0 = 0 without erasures: about 2**62 uses per trial
         code, _, err = run_cli(capsys, [
@@ -153,6 +163,24 @@ class TestOracle:
         assert doc["pass"] is True
         assert doc["abs_gap"] <= doc["bound"] == 5e-4
         assert doc["abs_gap"] == abs(doc["one_dim_value"] - doc["grid_value"])
+        assert doc["grid_value"] <= doc["upper_bound"] <= doc["one_dim_value"] + 1e-12
+
+    def test_fine_grid(self, capsys):
+        # 1e10 points, scored one axis at a time
+        code, out, _ = run_cli(
+            capsys, ["oracle", "--k", "2", "--epsilon", "0.5", "--grid-n", "100000"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        assert doc["abs_gap"] <= 1e-9
+
+    @pytest.mark.parametrize("grid_n", ["1", "10000001"])
+    def test_grid_n_out_of_range(self, capsys, grid_n):
+        code, out, err = run_cli(
+            capsys, ["oracle", "--k", "1", "--epsilon", "0.5", "--grid-n", grid_n])
+        assert code == 2
+        assert out == ""
+        assert "grid points per axis" in err
 
 
 class TestValidate:

