@@ -6,6 +6,7 @@ from .capacity import (
     DomainError,
     SchemeParams,
     capacity_12,
+    capacity_curve,
     delta_chain,
     fb_upper_2inf,
     feedback_capacity,
@@ -62,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityResult", "DomainError", "SchemeParams",
-    "capacity_12", "delta_chain", "fb_upper_2inf", "feedback_capacity",
+    "capacity_12", "capacity_curve", "delta_chain", "fb_upper_2inf", "feedback_capacity",
     "grid_argmax_rate", "grid_max_rate", "h2", "nc_capacity_d_inf", "rate",
     "stationarity_residual",
     "TILDE0", "ArrayCodec", "EmptySet", "MessageInterval", "MessageOutsideLiveSet",

@@ -8,12 +8,20 @@ and delta_chain() generates the unique vector satisfying the
 stationarity identities given its last entry.
 
 Every capacity is the maximum of a ratio N(x)/D(x), found by one
-Dinkelbach iteration (_dinkelbach) on F(R) = max_x N - R*D. For the
-(0,k) rate, F has a backward recursion over the k stages with a closed
-form at each one, and F(R) <= 0 certifies rate <= R over the whole cube
+Dinkelbach iteration (_dinkelbach) on F(R) = max_x N - R*D. Its update
+R <- N(x)/D(x) is the Newton step R + F(R)/D(x), since F'(R) = -D(x). For
+the (0,k) rate, F has a backward recursion over the k stages with a
+closed form at each one (_zero_run); the same pass sums D, so no entropy
+is evaluated, and F(R) <= 0 certifies rate <= R over the whole cube
 [0, 1]^k. The grid oracle runs the same recursion with each stage
 maximized over a grid axis. nc_capacity_d_inf and capacity_12 are the
-one-stage case; fb_upper_2inf maximizes N - R*D at a KKT point.
+one-stage case (_one_stage); fb_upper_2inf maximizes N - R*D at a KKT
+point.
+
+The loop and the recursions run on a float, for the point solvers, or
+on an array with one entry per epsilon, for capacity_curve; only the
+stage primitives differ (_stage with math, _stage_array with numpy), as
+_h2 and h2 do. Each array entry stops on its own.
 """
 
 from __future__ import annotations
@@ -63,9 +71,13 @@ def _check_eps(epsilon):
         raise DomainError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
 
 
-def _check_k(k):
-    if int(k) != k or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+def _check_k(k, name="k"):
+    try:
+        ok = int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a positive integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +123,10 @@ def rate(params: SchemeParams) -> float:
     probability that a session reaches run length i without an erasure;
     the denominator is the expected renewal time back to run length 0.
     """
-    return _rate(params.epsilon, params.delta)
-
-
-def _rate(epsilon, delta):
-    """rate() of a sequence of parameters, without numpy."""
-    eb = 1.0 - epsilon
+    eb = 1.0 - params.epsilon
     num = tail = 0.0
     before = 1.0  # prod_{m<i} delta_m
-    for i, d in enumerate(delta, start=1):
+    for i, d in enumerate(params.delta, start=1):
         power = eb ** i
         num += power * _h2(d) * before
         before *= d
@@ -203,59 +210,81 @@ def _bisect(before, lo, hi):
     return hi
 
 
-def _dinkelbach(maximizer, ratio):
-    """Maximum of a ratio N(x)/D(x) with D > 0, and a point attaining it.
+def _dinkelbach(maximizer, level=0.0):
+    """Maximum of a ratio N(x)/D(x) with D > 0, for one point or an array.
 
-    maximizer(R) returns (F, x): x maximizes N - R*D, and F has the sign
-    of F(R) = max_x N - R*D, which is convex and decreasing with the
-    maximum ratio as its root. Starting at R = 0, R <- ratio(x) climbs
-    superlinearly; the loop stops once F(R) <= 0, which proves R is the
-    maximum, or R stops rising. Returns R and the maximizer at R.
+    maximizer(R) returns (F, r) at the x maximizing N - R*D: F(R) = max_x
+    N - R*D, which is convex and decreasing with the maximum ratio as
+    its root, and r = N(x)/D(x) = R + F/D(x), the Newton step on F since
+    F'(R) = -D(x). Starting at level, R <- r climbs superlinearly. With
+    floats, the loop stops once F(R) <= 0, which proves R is the
+    maximum, or R stops rising; with arrays, each entry stops on its own
+    in the same way and keeps its level while the others rise. The last
+    call to maximizer is always at the returned level.
     """
-    level = 0.0
-    surplus, x = maximizer(level)
+    surplus, r = maximizer(level)
     for _ in range(_MAX_STEPS):
-        r = ratio(x)
-        if surplus <= 0.0 or r <= level:
+        rising = (surplus > 0.0) & (r > level)
+        if isinstance(rising, np.ndarray):
+            if not rising.any():
+                break
+            level = np.where(rising, r, level)
+        elif rising:
+            level = r
+        else:
             break
-        level = r
-        surplus, x = maximizer(level)
-    return level, x
+        surplus, r = maximizer(level)
+    return level
 
 
 def _stage(a):
-    """max over x of H2(x) - a*x, log2(1 + 2^-a) without overflow, and the
-    maximizer 1/(1 + 2^a) clamped to x <= 1/2. At the solvers' roots
-    a >= 0, so the clamp only keeps rounding from breaking the codec's
-    constraint safety.
+    """H2(x) - a*x at x = 1/(1 + 2^b), b = max(a, 0), and x, for a float.
+
+    x is the maximizer over [0, 1/2], so the value is log2(1 + 2^-a) for
+    a >= 0. For a < 0, x = 1/2 is clamped and the value is taken at x,
+    1 - a/2, not at the unclamped maximizer: the Newton step needs N - R*D
+    at the point it returns. At the solvers' roots a >= 0, so the clamp
+    only keeps rounding from breaking the codec's constraint safety.
     """
-    return max(-a, 0.0) + math.log2(1.0 + 2.0 ** -abs(a)), 1.0 / (1.0 + 2.0 ** max(a, 0.0))
+    b = a if a > 0.0 else 0.0
+    x = 1.0 / (1.0 + 2.0 ** b)
+    return math.log2(1.0 + 2.0 ** -b) + (b - a) * x, x
 
 
-def _zero_run_max(epsilon, k, stage):
-    """_dinkelbach on rate() over a product set, stage(a) maximizing each axis.
+def _stage_array(a):
+    """_stage of every entry of an array."""
+    b = np.maximum(a, 0.0)
+    x = 1.0 / (1.0 + np.exp2(b))
+    return np.logaddexp2(0.0, -b) + (b - a) * x, x
+
+
+def _zero_run(eb, k, level, stage, point=None):
+    """(F, r) of rate() over a product set at level R, one backward pass.
 
     N - R*D = sum_i w_i * prod_{m<i} delta_m * (H2(delta_i) - R*delta_i) - R
     with w_i = (1-eps)^(i+1), so the maximum over delta_i..delta_{k-1},
     over w_i * prod_{m<i} delta_m, is u_i = max_x H2(x) - a_i*x with
-    a_i = R - (1-eps)*u_{i+1} and u_k = 0; F(R) = (1-eps)*u_0 - R.
+    a_i = R - (1-eps)*u_{i+1} and u_k = 0; F(R) = (1-eps)*u_0 - R. stage(a)
+    returns that value at its maximizer and the maximizer. The same pass
+    sums T_i = (1-eps)*delta_i*(1 + T_{i+1}), so D = 1 + T_0 and
+    r = R + F/D. eb and level are floats or arrays; point, if given, is
+    filled with the maximizers.
     """
-    eb = 1.0 - epsilon
-
-    def maximizer(level):
-        u, point = 0.0, [0.0] * k
-        for i in range(k - 1, -1, -1):
-            u, point[i] = stage(level - eb * u)
-        return eb * u - level, point
-
-    return _dinkelbach(maximizer, lambda delta: _rate(epsilon, delta))
+    u = t = 0.0
+    for i in range(k - 1, -1, -1):
+        u, x = stage(level - eb * u)
+        t = eb * x * (1.0 + t)
+        if point is not None:
+            point[i] = x
+    surplus = eb * u - level
+    return surplus, level + surplus / (1.0 + t)
 
 
 def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     """Largest achievable rate with output feedback, zero-runs capped at k.
 
     The maximum of rate() over the whole cube [0, 1]^k, with the closed
-    form of every stage of _zero_run_max. The last stage gives the
+    form of every stage of _zero_run. The last stage gives the
     paper's first-order condition C = log2((1 - d)/d) in d = delta_{k-1},
     and the others the stationarity identities of delta_chain. Every
     delta_j lies in [1/3, 1/2]. upper is the value plus _MARGIN, where
@@ -265,7 +294,8 @@ def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     """
     _check_eps(epsilon)
     _check_k(k)
-    value, delta = _zero_run_max(epsilon, k, _stage)
+    eb, delta = 1.0 - epsilon, [0.0] * k
+    value = _dinkelbach(lambda level: _zero_run(eb, k, level, _stage, delta))
     params = SchemeParams(epsilon, k, delta)
     return CapacityResult(value, params, stationarity_residual(params), value + _MARGIN)
 
@@ -273,7 +303,7 @@ def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
     """Exact maximum of rate() over the grid_n^k points of a uniform grid.
 
-    Each stage of _zero_run_max takes the best value on the axis in
+    Each stage of _zero_run takes the best value on the axis in
     place of the closed form, so a pass costs k * grid_n scores. The
     oracle for the closed-form stages of feedback_capacity.
 
@@ -296,7 +326,8 @@ def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
         i = int(np.argmax(score))
         return float(score[i]), float(axis[i])
 
-    value, point = _zero_run_max(epsilon, k, best_on_axis)
+    eb, point = 1.0 - epsilon, [0.0] * k
+    value = _dinkelbach(lambda level: _zero_run(eb, k, level, best_on_axis, point))
     return value, np.array(point)
 
 
@@ -305,20 +336,26 @@ def grid_max_rate(epsilon: float, k: int, grid_n: int) -> float:
     return grid_argmax_rate(epsilon, k, grid_n)[0]
 
 
-def _ratio_max(epsilon, b, d):
-    """Maximum of H2(x) / (b/(1-eps) + d*x) over x in [0, 1], b, d > 0.
+def _one_stage(eb, b, d, level, stage, entropy, point=None):
+    """(F, r) of H2(x) / (b/(1-eps) + d*x) over x in [0, 1], b, d > 0.
 
     Solved as (1-eps)*H2(x) / (b + d*(1-eps)*x), which is 0 at eps = 1,
     with one closed-form stage: N - R*D is largest at x = 1/(1 + 2^(R*d)).
+    r is the ratio at x itself, from entropy(x), which keeps the point
+    solvers' values bit for bit. eb, b and level are floats or arrays;
+    point, if given, receives x.
     """
-    eb = 1.0 - epsilon
+    u, x = stage(level * d)
+    if point is not None:
+        point[0] = x
+    return eb * u - level * b, eb * entropy(x) / (b + d * eb * x)
 
-    def maximizer(level):
-        u, x = _stage(level * d)
-        return eb * u - level * b, x
 
-    value, x = _dinkelbach(maximizer, lambda x: eb * _h2(x) / (b + d * eb * x))
-    return CapacityResult(value, SchemeParams(epsilon, 1, (x,)), 0.0, value + _MARGIN)
+def _ratio_max(epsilon, b, d):
+    """_dinkelbach on _one_stage at one epsilon."""
+    eb, x = 1.0 - epsilon, [0.0]
+    value = _dinkelbach(lambda level: _one_stage(eb, b, d, level, _stage, _h2, x))
+    return CapacityResult(value, SchemeParams(epsilon, 1, x), 0.0, value + _MARGIN)
 
 
 def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
@@ -337,8 +374,7 @@ def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     epsilon = 1 returns 0 (the limit value; the cost diverges).
     """
     _check_eps(epsilon)
-    if int(d) != d or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    _check_k(d, "d")
     return _ratio_max(epsilon, 1.0, d)
 
 
@@ -388,17 +424,14 @@ def fb_upper_2inf(epsilon: float) -> float:
             # all three x_i equal 1/(1 + 4^level) here, so level < 1/2; at
             # mu = (1-eps)*(1 - 2*level) every x_i <= 1/3
             mu = _bisect(lambda m: mass(level, m) > 1.0, 0.0, eb * (1.0 - 2.0 * level))
-        x = bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
+        x0, x1, x2 = bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
+        num = w0 * _h2(x0) + w1 * _h2(x1) + w2 * _h2(x2)
+        r = num / (base + 2.0 * (w0 * x0 + w1 * x1 + w2 * x2))
         # the sign of F(level) = N - level*D, as N/D - level, so that it
         # agrees with the test that R stops rising
-        return ratio(x) - level, x
+        return r - level, r
 
-    def ratio(x):
-        x0, x1, x2 = x
-        num = w0 * _h2(x0) + w1 * _h2(x1) + w2 * _h2(x2)
-        return num / (base + 2.0 * (w0 * x0 + w1 * x1 + w2 * x2))
-
-    return _dinkelbach(maximizer, ratio)[0]
+    return _dinkelbach(maximizer)
 
 
 def capacity_12(epsilon: float) -> CapacityResult:
@@ -416,3 +449,46 @@ def capacity_12(epsilon: float) -> CapacityResult:
     """
     _check_eps(epsilon)
     return _ratio_max(epsilon, 1.0 + (1.0 - epsilon) ** 2, 1.0)
+
+
+CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
+
+
+def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
+    """One capacity curve, a value per entry of epsilons.
+
+    name is one of CURVES: fb0k (feedback_capacity, param = k),
+    unconstrained (1 - eps), nc-dinf (nc_capacity_d_inf, param = d),
+    fb-ub-2inf (fb_upper_2inf) or cap-12 (capacity_12). fb0k, nc-dinf and
+    cap-12 run one _dinkelbach over the whole array, through the same
+    recursions as the point solvers with numpy stages, so each entry is
+    within a few ulps of its point solver and does not depend on the
+    other entries; the memory held is a few arrays of len(epsilons).
+    fb-ub-2inf calls fb_upper_2inf once per entry.
+
+    Raises:
+        DomainError: an epsilon outside [0, 1], or k or d not a positive
+            integer, before anything is solved.
+        ValueError: an unknown curve name.
+    """
+    if name not in CURVES:
+        raise ValueError(f"unknown curve {name!r}; choose from {', '.join(CURVES)}")
+    eps = np.array(epsilons, dtype=float, ndmin=1)
+    bad = ~((eps >= 0.0) & (eps <= 1.0))
+    if bad.any():
+        _check_eps(float(eps[bad][0]))
+    if name in ("fb0k", "nc-dinf"):
+        _check_k(param, "k" if name == "fb0k" else "d")
+    eb, start = 1.0 - eps, np.zeros_like(eps)
+    if name == "fb0k":
+        k = int(param)
+        return _dinkelbach(lambda level: _zero_run(eb, k, level, _stage_array), start)
+    if name == "nc-dinf":
+        d = int(param)
+        return _dinkelbach(lambda level: _one_stage(eb, 1.0, d, level, _stage_array, h2), start)
+    if name == "cap-12":
+        b = 1.0 + eb ** 2
+        return _dinkelbach(lambda level: _one_stage(eb, b, 1.0, level, _stage_array, h2), start)
+    if name == "fb-ub-2inf":
+        return np.array([fb_upper_2inf(e) for e in eps.ravel().tolist()]).reshape(eps.shape)
+    return eb

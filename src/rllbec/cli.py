@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: capacity (single point), sweep (curves over an epsilon
-grid, CSV or JSON), simulate (Monte Carlo transmissions), oracle (exact
-grid maximum vs the solver and its certified upper bound), validate
-(check bit strings against a run-length constraint).
+grid, CSV or JSON; one capacity_curve call per curve column, over the
+whole grid), simulate (Monte Carlo transmissions), oracle (exact grid
+maximum vs the solver and its certified upper bound), validate (check
+bit strings against a run-length constraint).
 
 Exit codes: 0 success, 1 validation failures, 2 usage error, 3 a
 simulation or oracle invariant failed.
@@ -22,25 +23,30 @@ from . import capacity as cap
 from . import sim as simmod
 from .constraint import INF, RllConstraint, first_violation
 
-_CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
+_MAX_GRID_POINTS = 10 ** 5
+_LABELS = {"unconstrained": "unconstrained", "fb-ub-2inf": "2,inf", "cap-12": "1,2"}
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' into an endpoint-inclusive list."""
+    """Parse 'start:stop:step' into an endpoint-inclusive list of at most
+    _MAX_GRID_POINTS points, counted before any is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
+    last = (stop + 1e-12 - start) / step  # index of the last point, up to rounding
+    if not last < _MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
     out = []
-    i = 0
-    while True:
+    for i in range(int(last) + 2):
         v = start + i * step
         if v > stop + 1e-12:
             break
         out.append(min(v, stop))
-        i += 1
     if len(out) < 2:
         raise ValueError(f"grid must contain at least 2 points, got {text!r}")
     return out
@@ -69,50 +75,28 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _sweep_value(curve: str, eps: float, tag):
-    if curve == "fb0k":
-        return cap.feedback_capacity(eps, tag).value
-    if curve == "unconstrained":
-        return 1.0 - eps
-    if curve == "nc-dinf":
-        return cap.nc_capacity_d_inf(eps, tag).value
-    if curve == "fb-ub-2inf":
-        return cap.fb_upper_2inf(eps)
-    if curve == "cap-12":
-        return cap.capacity_12(eps).value
-    raise ValueError(f"unknown curve {curve!r}")
-
-
 def cmd_sweep(args) -> int:
     curves = [c for c in args.curves.split(",") if c != ""]
     for c in curves:
-        if c not in _CURVES:
-            raise ValueError(f"unknown curve {c!r}; choose from {', '.join(_CURVES)}")
+        if c not in cap.CURVES:
+            raise ValueError(f"unknown curve {c!r}; choose from {', '.join(cap.CURVES)}")
     grid = _parse_grid(args.grid)
     ks = _parse_int_list(args.k, "--k")
     ds = _parse_int_list(args.d, "--d")
-    jobs = []  # (curve, eps, k column, tag passed to the evaluator)
-    for eps in grid:
-        for curve in curves:
-            if curve == "fb0k":
-                for k in ks:
-                    jobs.append((curve, eps, k, k))
-            elif curve == "nc-dinf":
-                for d in ds:
-                    jobs.append((curve, eps, f"{d},inf", d))
-            elif curve == "fb-ub-2inf":
-                jobs.append((curve, eps, "2,inf", None))
-            elif curve == "cap-12":
-                jobs.append((curve, eps, "1,2", None))
-            else:
-                jobs.append((curve, eps, "unconstrained", None))
-
-    values = [_sweep_value(c, e, t) for c, e, _, t in jobs]
-    rows = sorted(
-        ({"curve": c, "epsilon": e, "k": kcol, "value": v}
-         for (c, e, kcol, _), v in zip(jobs, values)),
-        key=lambda r: (r["epsilon"], r["curve"], str(r["k"])),
-    )
+    columns = []  # (curve, k column, param of capacity_curve)
+    for curve in curves:
+        if curve == "fb0k":
+            columns += [(curve, k, k) for k in ks]
+        elif curve == "nc-dinf":
+            columns += [(curve, f"{d},inf", d) for d in ds]
+        else:
+            columns.append((curve, _LABELS[curve], None))
+    rows = []
+    for curve, kcol, param in columns:
+        values = cap.capacity_curve(curve, grid, param).tolist()
+        rows += [{"curve": curve, "epsilon": e, "k": kcol, "value": v} for e, v in zip(grid, values)]
+    # stable, so duplicate columns keep their order
+    rows.sort(key=lambda r: (r["epsilon"], r["curve"], str(r["k"])))
 
     def render(out):
         if args.format == "json":
@@ -206,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_capacity)
 
     ps = sub.add_parser("sweep", help="evaluate capacity curves over an epsilon grid")
-    ps.add_argument("--curves", default="fb0k", help=f"comma list from: {', '.join(_CURVES)}")
+    ps.add_argument("--curves", default="fb0k", help=f"comma list from: {', '.join(cap.CURVES)}")
     ps.add_argument("--k", default="1", help="comma list of k values (fb0k curve)")
     ps.add_argument("--d", default="2", help="comma list of d values (nc-dinf curve)")
     ps.add_argument("--grid", default="0:1:0.05", help="epsilon grid as start:stop:step")

@@ -16,6 +16,7 @@ from rllbec import (
     RllConstraint,
     SchemeParams,
     capacity_12,
+    capacity_curve,
     delta_chain,
     fb_upper_2inf,
     feedback_capacity,
@@ -27,6 +28,8 @@ from rllbec import (
     rate,
     stationarity_residual,
 )
+from rllbec import capacity
+from rllbec.capacity import CURVES, _MARGIN, _stage, _stage_array
 
 LOG2_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 EPS_STAR = 1.0 - 1.0 / math.log2(9.0 / 4.0)  # where fb-ub-2inf leaves nc-dinf at d = 2
@@ -260,6 +263,100 @@ class TestCertificate:
         eb = 1.0 - eps
         assert eb * h2(x) / (1.0 + d * eb * x) <= nc_capacity_d_inf(eps, d).upper
         assert eb * h2(x) / (1.0 + eb * eb + eb * x) <= capacity_12(eps).upper
+
+
+# the perfbench sweep grid, unshifted and shifted as at seed 7
+SHIFT = (7 * 0.6180339887498949) % 1.0 / 50
+SWEEP_GRIDS = ([i / 50 for i in range(51)], [SHIFT + i * (1.0 - SHIFT) / 50 for i in range(50)] + [1.0])
+
+
+class TestCapacityCurve:
+    GRIDS = SWEEP_GRIDS
+    POINT = {
+        "fb0k": lambda eps, k: feedback_capacity(eps, k).value,
+        "nc-dinf": lambda eps, d: nc_capacity_d_inf(eps, d).value,
+        "cap-12": lambda eps, _: capacity_12(eps).value,
+        "fb-ub-2inf": lambda eps, _: fb_upper_2inf(eps),
+        "unconstrained": lambda eps, _: 1.0 - eps,
+    }
+    COLUMNS = ([("fb0k", k) for k in (1, 2, 4, 8, 16, 32, 64)]
+               + [("nc-dinf", d) for d in (1, 2, 3)] + [("cap-12", None)])
+
+    @pytest.mark.parametrize("name, param", COLUMNS)
+    def test_matches_the_point_solver(self, name, param):
+        # the same recursion with numpy stages: a few ulps apart at most
+        for grid in self.GRIDS:
+            curve = capacity_curve(name, grid, param)
+            assert curve.shape == (51,)
+            for eps, value in zip(grid, curve):
+                assert abs(value - self.POINT[name](eps, param)) <= 4.4e-16
+
+    def test_every_k_up_to_64(self):
+        grid = self.GRIDS[1]
+        for k in range(1, 65):
+            point = [feedback_capacity(eps, k).value for eps in grid]
+            assert np.abs(capacity_curve("fb0k", grid, k) - point).max() <= 4.4e-16
+
+    @pytest.mark.parametrize("name", ["fb-ub-2inf", "unconstrained"])
+    def test_exact_curves(self, name):
+        grid = self.GRIDS[1]
+        assert capacity_curve(name, grid).tolist() == [self.POINT[name](eps, None) for eps in grid]
+
+    @pytest.mark.parametrize("name, param", COLUMNS[::3] + [("fb-ub-2inf", None), ("unconstrained", None)])
+    def test_entries_do_not_depend_on_each_other(self, name, param):
+        # each entry stops on its own, at the level it would reach alone
+        grid = np.linspace(0.0, 1.0, 37)
+        curve = capacity_curve(name, grid, param)
+        for i, eps in enumerate(grid):
+            assert capacity_curve(name, [eps], param)[0] == curve[i]
+        assert curve[-1] == 0.0
+
+    @pytest.mark.parametrize("k", [1, 8, 64, 256])
+    def test_upper_bound_holds_exactly(self, k):
+        values = capacity_curve("fb0k", TestCertificate.EPS, k)
+        for eps, value in zip(TestCertificate.EPS, values):
+            assert dual_mp(eps, k, value + _MARGIN) < 0
+
+    @pytest.mark.parametrize("a", [-50.0, -1.0, 0.0, 1e-12, 3.0, 40.0])
+    def test_stage_value_at_its_own_point(self, a):
+        # the value is taken at the clamped point x <= 1/2, not at the
+        # unclamped maximizer, or the Newton step overshoots for a < 0;
+        # an overflow would raise under the warnings filter
+        for u, x in (_stage(a), _stage_array(np.array([a, a]))):
+            assert np.all(x <= 0.5)
+            assert np.all(np.abs(u - (h2(x) - a * x)) <= 2.2e-16)
+
+    def test_traced_memory_peak(self):
+        # one pass holds a few arrays of len(epsilons); a k x n matrix of
+        # delta would take 8 MB
+        grid = np.linspace(0.0, 1.0, 1001)
+        tracemalloc.start()
+        try:
+            capacity_curve("fb0k", grid, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("name, eps, param", [
+        ("fb0k", [0.5, -0.1], 2), ("fb0k", [1.5], 2), ("cap-12", [float("nan")], None),
+        ("unconstrained", [0.2, 1.2], None), ("fb-ub-2inf", [-1.0], None),
+        ("fb0k", [0.5], 0), ("fb0k", [0.5], 1.5), ("fb0k", [0.5], None),
+        ("nc-dinf", [0.5], 0), ("nc-dinf", [0.5], float("inf")), ("nc-dinf", [0.5], None),
+    ])
+    def test_domain_before_solving(self, monkeypatch, name, eps, param):
+        def solve(*args):
+            raise AssertionError("solved before the domain check")
+
+        monkeypatch.setattr(capacity, "_dinkelbach", solve)
+        monkeypatch.setattr(capacity, "fb_upper_2inf", solve)
+        with pytest.raises(DomainError):
+            capacity_curve(name, eps, param)
+
+    def test_unknown_curve(self):
+        assert set(CURVES) == set(self.POINT)
+        with pytest.raises(ValueError, match="unknown curve"):
+            capacity_curve("bogus", [0.5])
 
 
 class TestGridSearch:

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from rllbec import cli, feedback_capacity, run_feedback_sim
+from rllbec.capacity import CURVES
 
 GOLDEN = 0.6942419136306173
 
@@ -71,7 +72,7 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 18
-        assert {r["curve"] for r in rows} == set(cli._CURVES)
+        assert {r["curve"] for r in rows} == set(CURVES)
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -90,6 +91,53 @@ class TestSweep:
         code, _, err = run_cli(capsys, bad)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.5", "0:1:nan", "-inf:1:0.5"])
+    def test_non_finite_grid(self, capsys, grid):
+        # each of these once looped without end, growing the grid list
+        code, out, err = run_cli(capsys, ["sweep", "--curves", "unconstrained", f"--grid={grid}"])
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-5", "0.5:1:1e-300", "-1e308:1e308:1"])
+    def test_too_many_points(self, capsys, grid):
+        # counted before any point is built
+        code, out, err = run_cli(capsys, ["sweep", "--curves", "unconstrained", f"--grid={grid}"])
+        assert code == 2 and out == ""
+        assert "more than 100000 points" in err
+
+    def test_point_limit(self):
+        assert len(cli._parse_grid("0:99999:1")) == 10 ** 5
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_grid("0:100000:1")
+
+    def test_bad_epsilon_in_the_grid(self, capsys):
+        for curves in ("fb0k", "unconstrained", "fb-ub-2inf"):
+            code, out, err = run_cli(capsys, ["sweep", "--curves", curves, "--grid", "0.5:1.5:0.5"])
+            assert code == 2 and out == ""
+            assert "erasure probability" in err
+
+    @pytest.mark.parametrize("flag, bad", [("--k", "0"), ("--d", "-1")])
+    def test_bad_k_or_d(self, capsys, flag, bad):
+        code, out, err = run_cli(capsys, ["sweep", "--curves", "fb0k,nc-dinf", flag, bad])
+        assert code == 2 and out == ""
+        assert "positive integer" in err
+
+    def test_duplicate_columns_keep_their_order(self, capsys):
+        # one row per (epsilon, column), sorted by (epsilon, curve, k) and
+        # otherwise in the order given, duplicates included
+        code, out, _ = run_cli(capsys, ["sweep", "--curves", "nc-dinf,fb0k", "--k", "2,1,2",
+                                        "--d", "3,1", "--grid", "0:0.5:0.25", "--format", "json"])
+        assert code == 0
+        rows = json.loads(out)
+        want = []
+        for eps in (0.0, 0.25, 0.5):
+            want += [("fb0k", eps, 1), ("fb0k", eps, 2), ("fb0k", eps, 2),
+                     ("nc-dinf", eps, "1,inf"), ("nc-dinf", eps, "3,inf")]
+        assert [(r["curve"], r["epsilon"], r["k"]) for r in rows] == want
+        for r in rows:
+            if r["curve"] == "fb0k":
+                assert abs(r["value"] - feedback_capacity(r["epsilon"], r["k"]).value) <= 4.4e-16
 
 
 class TestSimulate:
