@@ -15,8 +15,8 @@ closed form at each one (_zero_run); the same pass sums D, so no entropy
 is evaluated, and F(R) <= 0 certifies rate <= R over the whole cube
 [0, 1]^k. The grid oracle runs the same recursion with each stage
 maximized over a grid axis. nc_capacity_d_inf and capacity_12 are the
-one-stage case (_one_stage); fb_upper_2inf maximizes N - R*D at a KKT
-point.
+k = 1 rate at a rescaled weight (_as_zero_run); fb_upper_2inf maximizes
+N - R*D at a KKT point, whose multiplier the same loop finds.
 
 The loop and the recursions run on a float, for the point solvers, or
 on an array with one entry per epsilon, for capacity_curve; only the
@@ -27,7 +27,7 @@ _h2 and h2 do. Each array entry stops on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,10 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a formula."""
 
 
-_MAX_STEPS = 200  # caps every solver loop; bisection to a root in [2**-140, 1] needs fewer
+_MAX_STEPS = 200  # caps every Newton loop, which converges superlinearly in far fewer
 _MARGIN = 1e-14  # added to a Dinkelbach level to cover the rounding of the ratio
 _MAX_AXIS = 10 ** 7  # grid points per axis of the grid oracle
+_LN2 = math.log(2.0)
 
 
 def h2(p):
@@ -82,16 +83,11 @@ def _check_k(k, name="k"):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Erasure probability plus the '0'-probability used after each run length.
-
-    delta_ratios holds each delta_j as an exact integer ratio (p, q), so
-    the codec can split huge live sets without float rounding.
-    """
+    """Erasure probability plus the '0'-probability used after each run length."""
 
     epsilon: float
     k: int
     delta: tuple
-    delta_ratios: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
@@ -101,7 +97,6 @@ class SchemeParams:
             raise DomainError(f"k={self.k} but {len(self.delta)} parameters given")
         if any(not 0.0 <= d <= 1.0 for d in self.delta):
             raise DomainError(f"parameters must lie in [0, 1], got {self.delta}")
-        object.__setattr__(self, "delta_ratios", tuple(d.as_integer_ratio() for d in self.delta))
 
 
 @dataclass(frozen=True)
@@ -191,36 +186,19 @@ def stationarity_residual(params: SchemeParams) -> float:
     return worst
 
 
-def _bisect(before, lo, hi):
-    """First point past the root of a monotone sign change on [lo, hi].
-
-    before(x) is True on the lo side of the root and False from the root
-    on; the bracket ends are assumed to straddle it and are never
-    evaluated. Halves until the midpoint equals an end (adjacent floats)
-    or _MAX_STEPS steps, then returns hi, where before() is False.
-    """
-    for _ in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if before(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _dinkelbach(maximizer, level=0.0):
-    """Maximum of a ratio N(x)/D(x) with D > 0, for one point or an array.
+    """Root of a convex decreasing F by Newton's method from below, for one
+    point or an array.
 
-    maximizer(R) returns (F, r) at the x maximizing N - R*D: F(R) = max_x
-    N - R*D, which is convex and decreasing with the maximum ratio as
-    its root, and r = N(x)/D(x) = R + F/D(x), the Newton step on F since
-    F'(R) = -D(x). Starting at level, R <- r climbs superlinearly. With
-    floats, the loop stops once F(R) <= 0, which proves R is the
-    maximum, or R stops rising; with arrays, each entry stops on its own
-    in the same way and keeps its level while the others rise. The last
-    call to maximizer is always at the returned level.
+    maximizer(R) returns (F(R), r) with r the Newton step from R. For the
+    maximum of a ratio N(x)/D(x) with D > 0, F(R) = max_x N - R*D and r =
+    N(x)/D(x) = R + F/D(x) at the maximizing x, since F'(R) = -D(x); for
+    fb_upper_2inf's multiplier, F is the excess mass of the KKT point.
+    Starting at level, below the root, R <- r climbs superlinearly and
+    never passes it. With floats, the loop stops once F(R) <= 0, which
+    proves R is the root, or R stops rising; with arrays, each entry stops
+    on its own in the same way and keeps its level while the others rise.
+    The last call to maximizer is always at the returned level.
     """
     surplus, r = maximizer(level)
     for _ in range(_MAX_STEPS):
@@ -258,26 +236,57 @@ def _stage_array(a):
     return np.logaddexp2(0.0, -b) + (b - a) * x, x
 
 
-def _zero_run(eb, k, level, stage, point=None):
-    """(F, r) of rate() over a product set at level R, one backward pass.
+def _zero_run(weight, k, level, stage, point=None):
+    """(F, r) of the zero-run rate over a product set at level R, one
+    backward pass.
 
-    N - R*D = sum_i w_i * prod_{m<i} delta_m * (H2(delta_i) - R*delta_i) - R
-    with w_i = (1-eps)^(i+1), so the maximum over delta_i..delta_{k-1},
-    over w_i * prod_{m<i} delta_m, is u_i = max_x H2(x) - a_i*x with
-    a_i = R - (1-eps)*u_{i+1} and u_k = 0; F(R) = (1-eps)*u_0 - R. stage(a)
-    returns that value at its maximizer and the maximizer. The same pass
-    sums T_i = (1-eps)*delta_i*(1 + T_{i+1}), so D = 1 + T_0 and
-    r = R + F/D. eb and level are floats or arrays; point, if given, is
-    filled with the maximizers.
+    The rate is rate() with weight w in place of 1-eps, so N - R*D =
+    sum_i w^(i+1) * prod_{m<i} delta_m * (H2(delta_i) - R*delta_i) - R. Its
+    maximum over delta_i..delta_{k-1}, over w^(i+1) * prod_{m<i} delta_m,
+    is u_i = max_x H2(x) - a_i*x with a_i = R - w*u_{i+1} and u_k = 0;
+    F(R) = w*u_0 - R. stage(a) returns that value at its maximizer and
+    the maximizer. The same pass sums T_i = w*delta_i*(1 + T_{i+1}), so
+    D = 1 + T_0 and r = R + F/D. weight and level are floats or arrays;
+    point, if given, is filled with the maximizers.
     """
     u = t = 0.0
     for i in range(k - 1, -1, -1):
-        u, x = stage(level - eb * u)
-        t = eb * x * (1.0 + t)
+        u, x = stage(level - weight * u)
+        t = weight * x * (1.0 + t)
         if point is not None:
             point[i] = x
-    surplus = eb * u - level
+    surplus = weight * u - level
     return surplus, level + surplus / (1.0 + t)
+
+
+def _as_zero_run(name, eb, param):
+    """(k, weight, scale) such that curve name at 1 - eps = eb is the
+    maximum of the zero-run rate of _zero_run divided by scale.
+
+    fb0k is that rate at w = eb. The nc-dinf ratio H2(x)/(1/eb + d*x) is
+    w*H2(x)/(1 + w*x) / d at w = d*eb, the k = 1 rate scaled by 1/d, so
+    the (1,inf) noncausal capacity equals the (0,1) feedback capacity.
+    The cap-12 ratio H2(x)/(1/eb + eb + x) is the k = 1 rate at w =
+    eb/(1 + eb^2). eb is a float or an array.
+
+    Raises:
+        DomainError: k or d is not a positive integer.
+    """
+    if name == "cap-12":
+        return 1, eb / (1.0 + eb * eb), 1
+    _check_k(param, "k" if name == "fb0k" else "d")
+    n = int(param)
+    return (n, eb, 1) if name == "fb0k" else (1, n * eb, n)
+
+
+def _solve(name, epsilon, param=None) -> CapacityResult:
+    """One point of a zero-run curve, with the closed-form stages."""
+    _check_eps(epsilon)
+    k, weight, scale = _as_zero_run(name, 1.0 - epsilon, param)
+    delta = [0.0] * k
+    value = _dinkelbach(lambda level: _zero_run(weight, k, level, _stage, delta)) / scale
+    params = SchemeParams(epsilon, k, delta)
+    return CapacityResult(value, params, stationarity_residual(params), value + _MARGIN)
 
 
 def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
@@ -292,12 +301,7 @@ def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
 
     epsilon = 1 returns exactly 0 with every delta_j = 1/2.
     """
-    _check_eps(epsilon)
-    _check_k(k)
-    eb, delta = 1.0 - epsilon, [0.0] * k
-    value = _dinkelbach(lambda level: _zero_run(eb, k, level, _stage, delta))
-    params = SchemeParams(epsilon, k, delta)
-    return CapacityResult(value, params, stationarity_residual(params), value + _MARGIN)
+    return _solve("fb0k", epsilon, k)
 
 
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
@@ -336,28 +340,6 @@ def grid_max_rate(epsilon: float, k: int, grid_n: int) -> float:
     return grid_argmax_rate(epsilon, k, grid_n)[0]
 
 
-def _one_stage(eb, b, d, level, stage, entropy, point=None):
-    """(F, r) of H2(x) / (b/(1-eps) + d*x) over x in [0, 1], b, d > 0.
-
-    Solved as (1-eps)*H2(x) / (b + d*(1-eps)*x), which is 0 at eps = 1,
-    with one closed-form stage: N - R*D is largest at x = 1/(1 + 2^(R*d)).
-    r is the ratio at x itself, from entropy(x), which keeps the point
-    solvers' values bit for bit. eb, b and level are floats or arrays;
-    point, if given, receives x.
-    """
-    u, x = stage(level * d)
-    if point is not None:
-        point[0] = x
-    return eb * u - level * b, eb * entropy(x) / (b + d * eb * x)
-
-
-def _ratio_max(epsilon, b, d):
-    """_dinkelbach on _one_stage at one epsilon."""
-    eb, x = 1.0 - epsilon, [0.0]
-    value = _dinkelbach(lambda level: _one_stage(eb, b, d, level, _stage, _h2, x))
-    return CapacityResult(value, SchemeParams(epsilon, 1, x), 0.0, value + _MARGIN)
-
-
 def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     """Capacity with at least d '0's after every '1' and erasure positions
     known ahead of time.
@@ -369,13 +351,13 @@ def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
 
         max_x H2(x) / (c + d*x),   c = 1/(1-eps),
 
-    whose maximizer is the root of (1-x)^(c+d) = x^c (see _ratio_max).
+    whose maximizer is the root of (1-x)^(c+d) = x^c: the k = 1 zero-run
+    rate at weight d*(1-eps) in place of 1 - eps, divided by d (see
+    _as_zero_run). upper is the value plus _MARGIN, above every x.
 
     epsilon = 1 returns 0 (the limit value; the cost diverges).
     """
-    _check_eps(epsilon)
-    _check_k(d, "d")
-    return _ratio_max(epsilon, 1.0, d)
+    return _solve("nc-dinf", epsilon, d)
 
 
 def fb_upper_2inf(epsilon: float) -> float:
@@ -391,9 +373,12 @@ def fb_upper_2inf(epsilon: float) -> float:
     that still have an input choice.
 
     Solved by _dinkelbach. N - R*D is concave, so its maximizer is the
-    KKT point x_i = 1 / (1 + 2^(2R + mu/((1-eps)*eps^i))), with mu = 0
-    if that point has sum <= 1 and otherwise the bisected root of
-    sum_i x_i = 1 (a coordinate of weight (1-eps)*eps^i = 0 stays at 0).
+    KKT point x_i = 1 / (1 + 2^(2R + mu/w_i)) with w_i = (1-eps)*eps^i;
+    a coordinate of weight w_i = 0 stays at 0. The multiplier mu is the
+    root of the excess mass g(mu) = sum_i x_i - 1 from mu = 0, where
+    g <= 0 means the constraint is inactive. g is convex and decreasing
+    for mu >= 0, as every x_i <= 1/2, so _dinkelbach runs its Newton step
+    mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i) from below.
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -404,29 +389,27 @@ def fb_upper_2inf(epsilon: float) -> float:
     """
     _check_eps(epsilon)
     eb = 1.0 - epsilon
-    w0, w1, w2 = eb, eb * epsilon, eb * epsilon ** 2
+    weights = (eb, eb * epsilon, eb * epsilon ** 2)
     base = 1.0 + epsilon + epsilon ** 2
 
-    def bias(w, level, mu):
+    def biases(level, mu):
         # 1/(1 + 2^t) as y/(1 + y) with y = 2^-t, so a huge t underflows
         # to 0 instead of overflowing
-        if w == 0.0:
-            return 0.0
-        y = 2.0 ** -(2.0 * level + mu / w)
-        return y / (1.0 + y)
-
-    def mass(level, mu):
-        return bias(w0, level, mu) + bias(w1, level, mu) + bias(w2, level, mu)
+        ys = [2.0 ** -(2.0 * level + mu / w) if w > 0.0 else 0.0 for w in weights]
+        return [y / (1.0 + y) for y in ys]
 
     def maximizer(level):
-        mu = 0.0
-        if mass(level, 0.0) > 1.0:
-            # all three x_i equal 1/(1 + 4^level) here, so level < 1/2; at
-            # mu = (1-eps)*(1 - 2*level) every x_i <= 1/3
-            mu = _bisect(lambda m: mass(level, m) > 1.0, 0.0, eb * (1.0 - 2.0 * level))
-        x0, x1, x2 = bias(w0, level, mu), bias(w1, level, mu), bias(w2, level, mu)
-        num = w0 * _h2(x0) + w1 * _h2(x1) + w2 * _h2(x2)
-        r = num / (base + 2.0 * (w0 * x0 + w1 * x1 + w2 * x2))
+        def newton(mu):
+            xs = biases(level, mu)
+            excess = sum(xs) - 1.0
+            if excess <= 0.0:
+                return excess, mu
+            slope = sum(x * (1.0 - x) / w for x, w in zip(xs, weights) if w > 0.0)
+            return excess, mu + excess / (_LN2 * slope)
+
+        xs = biases(level, _dinkelbach(newton))
+        num = sum(w * _h2(x) for w, x in zip(weights, xs))
+        r = num / (base + 2.0 * sum(w * x for w, x in zip(weights, xs)))
         # the sign of F(level) = N - level*D, as N/D - level, so that it
         # agrees with the test that R stops rising
         return r - level, r
@@ -441,14 +424,15 @@ def capacity_12(epsilon: float) -> CapacityResult:
 
         H2(x) / (c + x),   c = 1/(1-eps) + (1-eps),
 
-    whose maximizer is the root of (c+1)*ln(1-x) = c*ln(x) (see
-    _ratio_max). The root lies in (1/3, 1/2) because c >= 2 for every
-    eps, which makes the left side larger at x = 1/3.
+    whose maximizer is the root of (c+1)*ln(1-x) = c*ln(x): the k = 1
+    zero-run rate at weight (1-eps)/(1 + (1-eps)^2) in place of 1 - eps
+    (see _as_zero_run). The root lies in (1/3, 1/2) because c >= 2 for every
+    eps, which makes the left side larger at x = 1/3. upper is the value
+    plus _MARGIN, above every x.
 
     epsilon = 1 returns 0 (the limit value).
     """
-    _check_eps(epsilon)
-    return _ratio_max(epsilon, 1.0 + (1.0 - epsilon) ** 2, 1.0)
+    return _solve("cap-12", epsilon)
 
 
 CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
@@ -461,10 +445,10 @@ def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
     unconstrained (1 - eps), nc-dinf (nc_capacity_d_inf, param = d),
     fb-ub-2inf (fb_upper_2inf) or cap-12 (capacity_12). fb0k, nc-dinf and
     cap-12 run one _dinkelbach over the whole array, through the same
-    recursions as the point solvers with numpy stages, so each entry is
-    within a few ulps of its point solver and does not depend on the
-    other entries; the memory held is a few arrays of len(epsilons).
-    fb-ub-2inf calls fb_upper_2inf once per entry.
+    _zero_run and _as_zero_run as the point solvers with numpy stages, so
+    each entry is within a few ulps of its point solver and does not
+    depend on the other entries; the memory held is a few arrays of
+    len(epsilons). fb-ub-2inf calls fb_upper_2inf once per entry.
 
     Raises:
         DomainError: an epsilon outside [0, 1], or k or d not a positive
@@ -477,18 +461,9 @@ def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
     bad = ~((eps >= 0.0) & (eps <= 1.0))
     if bad.any():
         _check_eps(float(eps[bad][0]))
-    if name in ("fb0k", "nc-dinf"):
-        _check_k(param, "k" if name == "fb0k" else "d")
-    eb, start = 1.0 - eps, np.zeros_like(eps)
-    if name == "fb0k":
-        k = int(param)
-        return _dinkelbach(lambda level: _zero_run(eb, k, level, _stage_array), start)
-    if name == "nc-dinf":
-        d = int(param)
-        return _dinkelbach(lambda level: _one_stage(eb, 1.0, d, level, _stage_array, h2), start)
-    if name == "cap-12":
-        b = 1.0 + eb ** 2
-        return _dinkelbach(lambda level: _one_stage(eb, b, 1.0, level, _stage_array, h2), start)
     if name == "fb-ub-2inf":
         return np.array([fb_upper_2inf(e) for e in eps.ravel().tolist()]).reshape(eps.shape)
-    return eb
+    if name == "unconstrained":
+        return 1.0 - eps
+    k, weight, scale = _as_zero_run(name, 1.0 - eps, param)
+    return _dinkelbach(lambda level: _zero_run(weight, k, level, _stage_array), np.zeros_like(eps)) / scale

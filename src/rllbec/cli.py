@@ -29,7 +29,7 @@ _LABELS = {"unconstrained": "unconstrained", "fb-ub-2inf": "2,inf", "cap-12": "1
 
 def _parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' into an endpoint-inclusive list of at most
-    _MAX_GRID_POINTS points, counted before any is built."""
+    _MAX_GRID_POINTS distinct points, counted before any is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must look like start:stop:step, got {text!r}")
@@ -38,15 +38,20 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid needs finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
-    last = (stop + 1e-12 - start) / step  # index of the last point, up to rounding
+    # a point up to tol past stop is stop itself; tol <= step/2 keeps a tiny
+    # step from counting points past stop
+    tol = min(1e-12, 0.5 * step)
+    last = (stop + tol - start) / step  # index of the last point, up to rounding
     if not last < _MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
     out = []
     for i in range(int(last) + 2):
         v = start + i * step
-        if v > stop + 1e-12:
+        if v > stop + tol:
             break
-        out.append(min(v, stop))
+        v = min(v, stop)
+        if not out or v > out[-1]:  # a step below the float spacing rounds onto out[-1]
+            out.append(v)
     if len(out) < 2:
         raise ValueError(f"grid must contain at least 2 points, got {text!r}")
     return out

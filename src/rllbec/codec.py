@@ -98,7 +98,7 @@ def partition(label: int, live_size: int, params: SchemeParams):
         raise ValueError(f"label {label} out of range for k={k}")
     if label == label_of(k):
         return 0, "prefix"
-    p, q = params.delta_ratios[delta_index(label)]
+    p, q = params.delta[delta_index(label)].as_integer_ratio()
     zc = p * live_size // q
     if zc == 0 and live_size >= 2:
         # an empty block stalls the session once the posterior is tight;
@@ -253,7 +253,7 @@ class ArrayCodec:
         e = np.zeros(k + 2, dtype=np.uint64)
         for label in range(k + 2):
             if label != label_of(k):  # L(k) keeps an empty '0' block
-                num, den = params.delta_ratios[delta_index(label)]
+                num, den = params.delta[delta_index(label)].as_integer_ratio()
                 # a product below 2**116 shifted by 127 is 0, as by any e above
                 p[label], e[label] = num, min(den.bit_length() - 1, 127)
         self._p, self._e = p, e

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .capacity import DomainError, SchemeParams, feedback_capacity, h2, rate
+from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity, h2, rate
 from .markov import build_labeling_chain, stationary
 
 _CHUNK = 4096  # trials stepped together, which bounds the memory for any count
@@ -36,8 +36,7 @@ class BecChannel:
     """
 
     def __init__(self, epsilon: float, seed):
-        if not 0.0 <= epsilon <= 1.0:
-            raise DomainError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
+        _check_eps(epsilon)
         self.epsilon = epsilon
         self.rng = np.random.default_rng(seed)
 
@@ -260,10 +259,11 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
         codec.EmptySet: an update emptied a live set, which the codec
             never does.
     """
-    if not 1 <= log2_messages <= 62:
+    _check_k(log2_messages, "log2_messages")
+    _check_k(trials, "trials")
+    log2_messages, trials = int(log2_messages), int(trials)
+    if log2_messages > 62:
         raise DomainError(f"log2_messages must lie in [1, 62], got {log2_messages}")
-    if trials < 1:
-        raise DomainError(f"trials must be positive, got {trials}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     seed = int(seed)
@@ -334,14 +334,14 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
     delivered, plus d forced '0's when the delivered bit is a '1'
     (drawn with probability delta). Returns H2(delta) * symbols / uses.
     """
-    if not 0.0 <= epsilon < 1.0:
+    _check_eps(epsilon)
+    if epsilon == 1.0:
         raise DomainError(f"need erasure probability in [0, 1), got {epsilon!r}")
     if not 0.0 <= delta <= 0.5:
         raise DomainError(f"need delta in [0, 1/2], got {delta!r}")
-    if int(d) != d or d < 1:
-        raise DomainError(f"d must be a positive integer, got {d!r}")
-    if horizon_symbols < 1:
-        raise DomainError(f"horizon must be positive, got {horizon_symbols}")
+    _check_k(d, "d")
+    _check_k(horizon_symbols, "horizon_symbols")
+    horizon_symbols = int(horizon_symbols)
     rng = np.random.default_rng(seed)
     waits = rng.geometric(1.0 - epsilon, size=horizon_symbols)
     ones = rng.random(horizon_symbols) < delta

@@ -427,6 +427,11 @@ class TestNcCapacityDInf:
     def test_monotone_in_d(self):
         assert nc_capacity_d_inf(0.3, 1).value > nc_capacity_d_inf(0.3, 2).value
 
+    def test_d_one_is_the_k_one_feedback_capacity(self):
+        # H2(x)/(1/(1-eps) + x) is the k = 1 rate at the same weight 1 - eps
+        for eps in np.linspace(0.0, 1.0, 1001):
+            assert nc_capacity_d_inf(eps, 1).value == feedback_capacity(eps, 1).value
+
     def test_domain(self):
         with pytest.raises(DomainError):
             nc_capacity_d_inf(0.5, 0)
@@ -485,6 +490,22 @@ class TestFbUpper2Inf:
 
     def test_full_erasure(self):
         assert fb_upper_2inf(1.0) == 0.0
+
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.floats(0.0, 1.0), st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        st.booleans())
+    def test_no_point_of_the_simplex_beats_the_bound(self, eps, v, on_face):
+        # x inside the simplex, or on its face sum = 1 (corners included); a
+        # multiplier stepped past its root would leave such points above
+        total = sum(v)
+        if on_face and total > 0.0:
+            x = [vi / total for vi in v]
+        else:
+            x = [vi / max(1.0, total) for vi in v]
+        num = (1.0 - eps) * (h2(x[0]) + eps * h2(x[1]) + eps ** 2 * h2(x[2]))
+        den = 1.0 + eps + eps ** 2 + 2.0 * (1.0 - eps) * (x[0] + eps * x[1] + eps ** 2 * x[2])
+        assert num / den <= fb_upper_2inf(eps) + 1e-15
 
 
 class TestCapacity12:

@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -110,6 +113,20 @@ class TestSweep:
         assert len(cli._parse_grid("0:99999:1")) == 10 ** 5
         with pytest.raises(ValueError, match="more than"):
             cli._parse_grid("0:100000:1")
+
+    def test_each_point_once(self, capsys):
+        # points up to 1e-12 past stop were all clamped to it, so this grid
+        # once gave 111 rows, 101 of them at epsilon = 1e-13
+        code, out, _ = run_cli(capsys, ["sweep", "--curves", "unconstrained",
+                                        "--grid", "0:1e-13:1e-14", "--format", "json"])
+        assert code == 0
+        eps = [r["epsilon"] for r in json.loads(out)]
+        assert len(eps) == 11 and eps == sorted(set(eps)) and eps[-1] == 1e-13
+        # a step below the float spacing of the points rounds onto the last one
+        grid = cli._parse_grid("0.5:0.5000000000000004:1e-17")
+        assert grid == sorted(set(grid)) and len(grid) == 5
+        # and points past stop are not counted towards the limit
+        assert len(cli._parse_grid("0:5e-13:1e-17")) == 50001
 
     def test_bad_epsilon_in_the_grid(self, capsys):
         for curves in ("fb0k", "unconstrained", "fb-ub-2inf"):
@@ -264,3 +281,33 @@ class TestValidate:
         code, _, err = run_cli(capsys, ["validate", "--k", "three"])
         assert code == 2
         assert "error" in err
+
+
+def readme_commands():
+    """Each `rllbec ...` line of README.md's sh blocks as (argv, stdin); a
+    `printf '...' |` before the command gives its stdin."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    out = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.splitlines():
+            feed, _, command = line.rpartition("| ")
+            if command.startswith("rllbec "):
+                stdin = shlex.split(feed)[1].encode().decode("unicode_escape") if feed else ""
+                out.append((shlex.split(command)[1:], stdin))
+    return out
+
+
+class TestReadme:
+    COMMANDS = readme_commands()
+
+    def test_every_subcommand_is_shown(self):
+        assert [argv[0] for argv, _ in self.COMMANDS] == [
+            "capacity", "sweep", "simulate", "oracle", "validate"]
+
+    @pytest.mark.parametrize("argv, stdin", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    def test_example_runs(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, argv)
+        # the validate example's second string, 0001, breaks k = 2
+        assert (code, err) == (1 if argv[0] == "validate" else 0, "")
+        assert out

@@ -88,8 +88,9 @@ class TestBecChannel:
         assert [blocked(1), blocked(0)] == [None, None]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            BecChannel(1.5, seed=0)
+        for eps in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                BecChannel(eps, seed=0)
         ch = BecChannel(0.5, seed=0)
         with pytest.raises(ValueError):
             ch.step(2)
@@ -204,6 +205,11 @@ class TestRunFeedbackSim:
             run_feedback_sim(1, 0.0, 8, 1, delta=(0.6,))
         with pytest.raises(DomainError):
             run_feedback_sim(1, 0.0, 8, 1, delta="best")
+        # fractional counts once reached numpy and raised its TypeError
+        with pytest.raises(DomainError, match="trials"):
+            run_feedback_sim(1, 0.0, 8, 1.5)
+        with pytest.raises(DomainError, match="log2_messages"):
+            run_feedback_sim(1, 0.0, 8.5, 1)
 
     @pytest.mark.parametrize("seed", [None, 1.5, -1])
     def test_rejects_bad_seeds(self, seed, monkeypatch):
@@ -341,3 +347,11 @@ class TestRenewalRate:
             renewal_rate_d_inf(0.2, 0, 0.3, 100, seed=0)
         with pytest.raises(DomainError):
             renewal_rate_d_inf(0.2, 1, 0.3, 0, seed=0)
+        # d = inf once raised OverflowError, nan a bare ValueError and
+        # None a TypeError
+        for d in (float("inf"), float("nan"), None, 1.5):
+            with pytest.raises(DomainError, match="d must be a positive integer"):
+                renewal_rate_d_inf(0.2, d, 0.3, 100, seed=0)
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(DomainError):
+                renewal_rate_d_inf(eps, 1, 0.3, 100, seed=0)
