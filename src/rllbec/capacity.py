@@ -15,13 +15,14 @@ closed form at each one (_zero_run); the same pass sums D, so no entropy
 is evaluated, and F(R) <= 0 certifies rate <= R over the whole cube
 [0, 1]^k. The grid oracle runs the same recursion with each stage
 maximized over a grid axis. nc_capacity_d_inf and capacity_12 are the
-k = 1 rate at a rescaled weight (_as_zero_run); fb_upper_2inf maximizes
-N - R*D at a KKT point, whose multiplier the same loop finds.
+k = 1 rate at a rescaled weight (_as_zero_run). fb_upper_2inf maximizes
+N - R*D with one stage per node, at the shift that the constraint's
+multiplier adds; the same loop finds that multiplier.
 
 The loop and the recursions run on a float, for the point solvers, or
 on an array with one entry per epsilon, for capacity_curve; only the
-stage primitives differ (_stage with math, _stage_array with numpy), as
-_h2 and h2 do. Each array entry stops on its own.
+stage primitive differs (_stage with math, _stage_array with numpy).
+Each array entry stops on its own.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ _LN2 = math.log(2.0)
 def h2(p):
     """Binary entropy in bits; accepts a scalar or an array over [0, 1]."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # nan fails both
         raise DomainError(f"entropy argument outside [0, 1]: {p!r}")
     # -(q log2 q + (1 - q) log2(1 - q)) inside (0, 1) and +0.0 elsewhere,
     # in three input-sized arrays
@@ -58,13 +59,6 @@ def h2(p):
     np.add(out, log_rest, out=out, where=inner)
     np.negative(out, out=out, where=inner)
     return float(out) if arr.ndim == 0 else out
-
-
-def _h2(p):
-    """h2 of one float in [0, 1], without numpy, for the scalar solvers."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
 def _check_eps(epsilon):
@@ -123,7 +117,7 @@ def rate(params: SchemeParams) -> float:
     before = 1.0  # prod_{m<i} delta_m
     for i, d in enumerate(params.delta, start=1):
         power = eb ** i
-        num += power * _h2(d) * before
+        num += power * h2(d) * before
         before *= d
         tail += power * before
     return num / (1.0 + tail)
@@ -190,10 +184,10 @@ def _dinkelbach(maximizer, level=0.0):
     """Root of a convex decreasing F by Newton's method from below, for one
     point or an array.
 
-    maximizer(R) returns (F(R), r) with r the Newton step from R. For the
-    maximum of a ratio N(x)/D(x) with D > 0, F(R) = max_x N - R*D and r =
-    N(x)/D(x) = R + F/D(x) at the maximizing x, since F'(R) = -D(x); for
-    fb_upper_2inf's multiplier, F is the excess mass of the KKT point.
+    maximizer(R) returns (F(R), r) with r = R - F/F'(R) the Newton step
+    from R. Every capacity is the maximum of a ratio N(x)/D(x) with D > 0:
+    F(R) = max_x N - R*D and r = R + F/D(x) at the maximizing x, since
+    F'(R) = -D(x). fb_upper_2inf's multiplier is the one other root.
     Starting at level, below the root, R <- r climbs superlinearly and
     never passes it. With floats, the loop stops once F(R) <= 0, which
     proves R is the root, or R stops rising; with arrays, each entry stops
@@ -222,7 +216,8 @@ def _stage(a):
     a >= 0. For a < 0, x = 1/2 is clamped and the value is taken at x,
     1 - a/2, not at the unclamped maximizer: the Newton step needs N - R*D
     at the point it returns. At the solvers' roots a >= 0, so the clamp
-    only keeps rounding from breaking the codec's constraint safety.
+    only keeps rounding from breaking the codec's constraint safety;
+    fb_upper_2inf's a = 2R + mu/w is never negative.
     """
     b = a if a > 0.0 else 0.0
     x = 1.0 / (1.0 + 2.0 ** b)
@@ -319,6 +314,7 @@ def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
     """
     _check_eps(epsilon)
     _check_k(k)
+    _check_k(grid_n, "grid_n")
     if not 2 <= grid_n <= _MAX_AXIS:
         raise DomainError(f"need 2 to {_MAX_AXIS} grid points per axis, got {grid_n}")
     axis = np.linspace(0.0, 1.0, grid_n)
@@ -372,13 +368,14 @@ def fb_upper_2inf(epsilon: float) -> float:
     The three parameters are the '1'-biases of the output graph nodes
     that still have an input choice.
 
-    Solved by _dinkelbach. N - R*D is concave, so its maximizer is the
-    KKT point x_i = 1 / (1 + 2^(2R + mu/w_i)) with w_i = (1-eps)*eps^i;
-    a coordinate of weight w_i = 0 stays at 0. The multiplier mu is the
-    root of the excess mass g(mu) = sum_i x_i - 1 from mu = 0, where
-    g <= 0 means the constraint is inactive. g is convex and decreasing
-    for mu >= 0, as every x_i <= 1/2, so _dinkelbach runs its Newton step
-    mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i) from below.
+    Solved by _dinkelbach. N - R*D is concave; with w_i = (1-eps)*eps^i
+    and multiplier mu, node i's KKT point and value u_i are _stage(2R +
+    mu/w_i), the max of H2(x) - (2R + mu/w_i)*x. So N - R*D = sum_i w_i*u_i
+    + mu*sum_i x_i - R*(1 + eps + eps^2), and the step is R + F/D. A node
+    of weight 0 stays at x = 0 and is dropped. mu is the root of the
+    excess mass g(mu) = sum_i x_i - 1, convex and decreasing as every
+    x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint) by the
+    Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i).
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -389,30 +386,22 @@ def fb_upper_2inf(epsilon: float) -> float:
     """
     _check_eps(epsilon)
     eb = 1.0 - epsilon
-    weights = (eb, eb * epsilon, eb * epsilon ** 2)
+    weights = [w for w in (eb, eb * epsilon, eb * epsilon ** 2) if w > 0.0]
     base = 1.0 + epsilon + epsilon ** 2
 
-    def biases(level, mu):
-        # 1/(1 + 2^t) as y/(1 + y) with y = 2^-t, so a huge t underflows
-        # to 0 instead of overflowing
-        ys = [2.0 ** -(2.0 * level + mu / w) if w > 0.0 else 0.0 for w in weights]
-        return [y / (1.0 + y) for y in ys]
-
     def maximizer(level):
+        nodes = []  # (u_i, x_i, w_i) at the last multiplier tried
+
         def newton(mu):
-            xs = biases(level, mu)
-            excess = sum(xs) - 1.0
+            nodes[:] = [_stage(2.0 * level + mu / w) + (w,) for w in weights]
+            excess = sum(x for _, x, _ in nodes) - 1.0
             if excess <= 0.0:
                 return excess, mu
-            slope = sum(x * (1.0 - x) / w for x, w in zip(xs, weights) if w > 0.0)
-            return excess, mu + excess / (_LN2 * slope)
+            return excess, mu + excess / (_LN2 * sum(x * (1.0 - x) / w for _, x, w in nodes))
 
-        xs = biases(level, _dinkelbach(newton))
-        num = sum(w * _h2(x) for w, x in zip(weights, xs))
-        r = num / (base + 2.0 * sum(w * x for w, x in zip(weights, xs)))
-        # the sign of F(level) = N - level*D, as N/D - level, so that it
-        # agrees with the test that R stops rising
-        return r - level, r
+        mu = _dinkelbach(newton)
+        surplus = sum(w * u for u, _, w in nodes) + mu * sum(x for _, x, _ in nodes) - level * base
+        return surplus, level + surplus / (base + 2.0 * sum(w * x for _, x, w in nodes))
 
     return _dinkelbach(maximizer)
 

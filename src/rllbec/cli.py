@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -183,6 +184,7 @@ def cmd_validate(args) -> int:
     return 1 if any_violation else 0
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rllbec",

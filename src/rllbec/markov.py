@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import SchemeParams
+
 
 @dataclass(frozen=True)
 class FiniteChain:
@@ -76,14 +78,8 @@ def stationary(chain: FiniteChain, start: int = 0) -> np.ndarray:
 
 
 def _check_eps_delta(epsilon, delta):
-    delta = tuple(float(d) for d in delta)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"erasure probability must lie in [0, 1], got {epsilon}")
-    if len(delta) < 1:
-        raise ValueError("need at least one parameter")
-    if any(not 0.0 <= d <= 1.0 for d in delta):
-        raise ValueError(f"parameters must lie in [0, 1], got {delta}")
-    return delta
+    delta = tuple(delta)
+    return SchemeParams(epsilon, len(delta), delta).delta
 
 
 def build_labeling_chain(epsilon: float, delta) -> FiniteChain:

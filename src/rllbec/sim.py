@@ -248,14 +248,15 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
         seed: root seed, a non-negative int; each trial derives its own
             independent message and channel streams from (seed, trial
             index), so reports are reproducible and order-independent.
-        max_uses: optional per-trial cap. Without one, the scheme's rate
-            must promise at most 1e6 expected uses per trial; a zero rate
-            (epsilon = 1, or delta_0 = 0 without erasures) never would.
+        max_uses: optional per-trial cap, a non-negative int; 0 ends
+            every trial before its first use. Without one, the scheme's
+            rate must promise at most 1e6 expected uses per trial; a zero
+            rate (epsilon = 1, or delta_0 = 0 without erasures) never would.
 
     Raises:
-        DomainError: bad arguments (a seed that is not a non-negative
-            int among them), some delta_j > 1/2, or no cap where one is
-            needed.
+        DomainError: bad arguments (a seed or max_uses that is not a
+            non-negative int among them), some delta_j > 1/2, or no cap
+            where one is needed.
         codec.EmptySet: an update emptied a live set, which the codec
             never does.
     """
@@ -267,6 +268,8 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     seed = int(seed)
+    if max_uses is not None and (not isinstance(max_uses, (int, np.integer)) or max_uses < 0):
+        raise DomainError(f"max_uses must be a non-negative int, got {max_uses!r}")
     if isinstance(delta, str):
         if delta != "optimal":
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")

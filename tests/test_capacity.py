@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -60,6 +61,11 @@ class TestH2:
             h2(1.2)
         with pytest.raises(DomainError):
             h2(-0.1)
+        # nan fails every comparison, so a test for outside [0, 1] misses it
+        with pytest.raises(DomainError):
+            h2(float("nan"))
+        with pytest.raises(DomainError):
+            h2([0.5, float("nan")])
 
     def test_traced_memory_peak(self):
         # three input-sized float arrays (24 MB) and the boolean masks
@@ -407,6 +413,9 @@ class TestGridSearch:
     def test_domain(self):
         with pytest.raises(DomainError):
             grid_max_rate(0.5, 1, 1)
+        for grid_n in (10.5, None, float("nan")):
+            with pytest.raises(DomainError, match="grid_n"):
+                grid_argmax_rate(0.3, 2, grid_n)
 
 
 class TestNcCapacityDInf:
@@ -439,7 +448,55 @@ class TestNcCapacityDInf:
             nc_capacity_d_inf(2.0, 1)
 
 
+def fb_upper_mp(eps):
+    """fb_upper_2inf at 40 digits, by Dinkelbach's iteration on R.
+
+    At each level R the KKT point of N - R*D over the simplex is x_i =
+    1/(1 + 2^(2R + mu/w_i)), with the multiplier mu = 0 if those x_i sum
+    to at most 1 and otherwise the root of sum_i x_i = 1, bracketed and
+    found by mpmath; the next level is N/D there.
+    """
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        w = [(1 - e) * e ** i for i in range(3)]
+
+        def h(x):
+            return -(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2))
+
+        level = mpmath.mpf(0)
+        for _ in range(50):
+            def excess(mu):
+                return sum(1 / (1 + mpmath.power(2, 2 * level + mu / wi)) for wi in w) - 1
+
+            mu, hi = mpmath.mpf(0), mpmath.mpf(1)
+            if excess(mu) > 0:
+                while excess(hi) > 0:
+                    hi *= 2
+                mu = mpmath.findroot(excess, (0, hi), solver="anderson")
+            x = [1 / (1 + mpmath.power(2, 2 * level + mu / wi)) for wi in w]
+            nxt = (sum(wi * h(xi) for wi, xi in zip(w, x))
+                   / (1 + e + e * e + 2 * sum(wi * xi for wi, xi in zip(w, x))))
+            if abs(nxt - level) < mpmath.mpf(10) ** -38:
+                return nxt
+            level = nxt
+    raise AssertionError(f"no convergence at eps = {eps}")
+
+
 class TestFbUpper2Inf:
+    def test_matches_a_40_digit_kkt_solve(self):
+        # above EPS_STAR, where the simplex constraint is active
+        for eps in np.linspace(0.15, 0.99, 22):
+            assert abs(fb_upper_2inf(eps) - float(fb_upper_mp(eps))) <= 2.2e-16
+
+    def test_finite_at_extreme_epsilons(self):
+        # a = 2R + mu/w_i grows as w_i = (1-eps)*eps^i shrinks; no stage may
+        # overflow, down to the smallest subnormal and up to 1 - 2^-53
+        eps = [2.0 ** -k for k in range(1, 1075)] + [1.0 - 2.0 ** -k for k in range(1, 54)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [fb_upper_2inf(e) for e in eps]
+        assert all(0.0 < v < 1.0 for v in values)
+
     def test_frozen_values(self):
         assert abs(fb_upper_2inf(0.0) - 0.5514630897459566) <= 1e-6
         assert abs(fb_upper_2inf(0.5) - 0.3450987827069385) <= 1e-6

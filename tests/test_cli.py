@@ -210,6 +210,13 @@ class TestSimulate:
         assert code == 2
         assert "max_uses" in err
 
+    def test_negative_use_cap(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "simulate", "--k", "2", "--epsilon", "0.3", "--log2-messages", "8", "--trials", "3",
+            "--max-uses", "-4"])
+        assert code == 2
+        assert "max_uses" in err
+
     def test_reports_erasures(self, capsys):
         code, out, _ = run_cli(capsys, [
             "simulate", "--k", "2", "--epsilon", "1", "--log2-messages", "8", "--trials", "3",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rllbec import (
+    DomainError,
     FiniteChain,
     SchemeParams,
     build_labeling_chain,
@@ -99,6 +100,8 @@ class TestLabelingChain:
             build_labeling_chain(0.5, ())
         with pytest.raises(ValueError):
             build_labeling_chain(0.5, (1.2,))
+        with pytest.raises(DomainError):
+            build_labeling_chain(float("nan"), (0.4,))
 
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("delta", [(0.4,), (0.45, 0.3), (0.5, 0.35, 0.15)])

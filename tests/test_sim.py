@@ -210,6 +210,10 @@ class TestRunFeedbackSim:
             run_feedback_sim(1, 0.0, 8, 1.5)
         with pytest.raises(DomainError, match="log2_messages"):
             run_feedback_sim(1, 0.0, 8.5, 1)
+        # a negative cap once censored every trial; 0 stays valid
+        for max_uses in (-3, 2.5, "10"):
+            with pytest.raises(DomainError, match="max_uses"):
+                run_feedback_sim(1, 0.0, 8, 1, max_uses=max_uses)
 
     @pytest.mark.parametrize("seed", [None, 1.5, -1])
     def test_rejects_bad_seeds(self, seed, monkeypatch):
