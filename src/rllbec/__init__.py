@@ -37,25 +37,20 @@ from .constraint import (
     INF,
     IllegalEdge,
     RllConstraint,
-    adjacency,
     first_violation,
     initial_state,
     next_state,
-    noiseless_capacity,
     validate_sequence,
 )
 from .markov import (
     FiniteChain,
     build_labeling_chain,
-    build_s_chain,
-    s_chain_stationary_exact,
     stationary,
 )
 from .sim import (
     BecChannel,
     SimReport,
     label_occupancy_check,
-    renewal_rate_d_inf,
     run_feedback_sim,
 )
 
@@ -69,11 +64,9 @@ __all__ = [
     "TILDE0", "ArrayCodec", "EmptySet", "MessageInterval", "MessageOutsideLiveSet",
     "SchemeSession", "UseBudgetExceeded", "input_bit", "label_names",
     "label_of", "next_label", "partition", "transmit_message", "update_live",
-    "INF", "IllegalEdge", "RllConstraint", "adjacency", "first_violation",
-    "initial_state", "next_state", "noiseless_capacity", "validate_sequence",
-    "FiniteChain", "build_labeling_chain", "build_s_chain",
-    "s_chain_stationary_exact", "stationary",
-    "BecChannel", "SimReport", "label_occupancy_check", "renewal_rate_d_inf",
-    "run_feedback_sim",
+    "INF", "IllegalEdge", "RllConstraint", "first_violation",
+    "initial_state", "next_state", "validate_sequence",
+    "FiniteChain", "build_labeling_chain", "stationary",
+    "BecChannel", "SimReport", "label_occupancy_check", "run_feedback_sim",
     "__version__",
 ]

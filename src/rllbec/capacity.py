@@ -22,7 +22,7 @@ multiplier adds; the same loop finds that multiplier.
 The loop and the recursions run on a float, for the point solvers, or
 on an array with one entry per epsilon, for capacity_curve; only the
 stage primitive differs (_stage with math, _stage_array with numpy).
-Each array entry stops on its own.
+Each array entry stops on its own. fb_upper_2inf runs on arrays only.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ def _check_eps(epsilon):
         raise DomainError(f"erasure probability must lie in [0, 1], got {epsilon!r}")
 
 
+def _eps_array(epsilons):
+    """epsilons as a float array of at least one dimension, each in [0, 1]."""
+    eps = np.array(epsilons, dtype=float, ndmin=1)
+    bad = ~((eps >= 0.0) & (eps <= 1.0))
+    if bad.any():
+        _check_eps(float(eps[bad][0]))
+    return eps
+
+
 def _check_k(k, name="k"):
     try:
         ok = int(k) == k and k >= 1
@@ -73,6 +82,7 @@ def _check_k(k, name="k"):
         ok = False
     if not ok:
         raise DomainError(f"{name} must be a positive integer, got {k!r}")
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ class SchemeParams:
     def __post_init__(self):
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         _check_eps(self.epsilon)
-        _check_k(self.k)
+        object.__setattr__(self, "k", _check_k(self.k))
         if self.k != len(self.delta):
             raise DomainError(f"k={self.k} but {len(self.delta)} parameters given")
         if any(not 0.0 <= d <= 1.0 for d in self.delta):
@@ -138,7 +148,7 @@ def delta_chain(delta_last, epsilon, k):
         Tuple (delta_0, ..., delta_{k-1}).
     """
     _check_eps(epsilon)
-    _check_k(k)
+    k = _check_k(k)
     if not 0.0 <= delta_last <= 1.0:
         raise DomainError(f"delta_last must lie in [0, 1], got {delta_last!r}")
     if delta_last == 1.0:
@@ -216,8 +226,7 @@ def _stage(a):
     a >= 0. For a < 0, x = 1/2 is clamped and the value is taken at x,
     1 - a/2, not at the unclamped maximizer: the Newton step needs N - R*D
     at the point it returns. At the solvers' roots a >= 0, so the clamp
-    only keeps rounding from breaking the codec's constraint safety;
-    fb_upper_2inf's a = 2R + mu/w is never negative.
+    only keeps rounding from breaking the codec's constraint safety.
     """
     b = a if a > 0.0 else 0.0
     x = 1.0 / (1.0 + 2.0 ** b)
@@ -225,10 +234,10 @@ def _stage(a):
 
 
 def _stage_array(a):
-    """_stage of every entry of an array."""
+    """_stage of every entry of an array; a = +inf gives (0, 0)."""
     b = np.maximum(a, 0.0)
     x = 1.0 / (1.0 + np.exp2(b))
-    return np.logaddexp2(0.0, -b) + (b - a) * x, x
+    return np.logaddexp2(0.0, -b) - np.minimum(a, 0.0) * x, x
 
 
 def _zero_run(weight, k, level, stage, point=None):
@@ -269,8 +278,7 @@ def _as_zero_run(name, eb, param):
     """
     if name == "cap-12":
         return 1, eb / (1.0 + eb * eb), 1
-    _check_k(param, "k" if name == "fb0k" else "d")
-    n = int(param)
+    n = _check_k(param, "k" if name == "fb0k" else "d")
     return (n, eb, 1) if name == "fb0k" else (1, n * eb, n)
 
 
@@ -313,8 +321,7 @@ def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
         DomainError: grid_n outside [2, 1e7].
     """
     _check_eps(epsilon)
-    _check_k(k)
-    _check_k(grid_n, "grid_n")
+    k, grid_n = _check_k(k), _check_k(grid_n, "grid_n")
     if not 2 <= grid_n <= _MAX_AXIS:
         raise DomainError(f"need 2 to {_MAX_AXIS} grid points per axis, got {grid_n}")
     axis = np.linspace(0.0, 1.0, grid_n)
@@ -356,7 +363,7 @@ def nc_capacity_d_inf(epsilon: float, d: int) -> CapacityResult:
     return _solve("nc-dinf", epsilon, d)
 
 
-def fb_upper_2inf(epsilon: float) -> float:
+def fb_upper_2inf(epsilon):
     """Feedback upper bound for the 'at least two 0s after every 1' family.
 
     Maximizes, over x in [0,1]^3 with x0 + x1 + x2 <= 1,
@@ -366,16 +373,18 @@ def fb_upper_2inf(epsilon: float) -> float:
         D(x)   1 + eps + eps^2 + 2*(1-eps)*(x0 + eps*x1 + eps^2*x2)
 
     The three parameters are the '1'-biases of the output graph nodes
-    that still have an input choice.
+    that still have an input choice. epsilon is a float, or an array of
+    any shape, whose entries are solved together, each on its own.
 
     Solved by _dinkelbach. N - R*D is concave; with w_i = (1-eps)*eps^i
-    and multiplier mu, node i's KKT point and value u_i are _stage(2R +
-    mu/w_i), the max of H2(x) - (2R + mu/w_i)*x. So N - R*D = sum_i w_i*u_i
-    + mu*sum_i x_i - R*(1 + eps + eps^2), and the step is R + F/D. A node
-    of weight 0 stays at x = 0 and is dropped. mu is the root of the
-    excess mass g(mu) = sum_i x_i - 1, convex and decreasing as every
-    x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint) by the
-    Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i).
+    and multiplier mu, node i's KKT point and value u_i are _stage_array(
+    2R + mu/w_i), the max of H2(x) - (2R + mu/w_i)*x. So N - R*D = sum_i
+    w_i*u_i + mu*sum_i x_i - R*(1 + eps + eps^2), and the step is R + F/D.
+    A node of weight 0 gets the shift +inf, so x_i = u_i = 0. mu is the
+    root of the excess mass g(mu) = sum_i x_i - 1, convex and decreasing
+    as every x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint)
+    by the Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i), which is
+    not taken where g <= 0.
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -384,26 +393,30 @@ def fb_upper_2inf(epsilon: float) -> float:
     the diagonal point (x, x, x) is feasible and is the maximum, and
     beyond it that point leaves the simplex.
     """
-    _check_eps(epsilon)
-    eb = 1.0 - epsilon
-    weights = [w for w in (eb, eb * epsilon, eb * epsilon ** 2) if w > 0.0]
-    base = 1.0 + epsilon + epsilon ** 2
+    eps = _eps_array(epsilon)
+    eb = 1.0 - eps
+    w = np.stack([eb, eb * eps, eb * eps * eps])
+    base = 1.0 + eps + eps * eps
 
     def maximizer(level):
-        nodes = []  # (u_i, x_i, w_i) at the last multiplier tried
+        stages = []  # (u_i, x_i) at the last multiplier tried
 
         def newton(mu):
-            nodes[:] = [_stage(2.0 * level + mu / w) + (w,) for w in weights]
-            excess = sum(x for _, x, _ in nodes) - 1.0
-            if excess <= 0.0:
-                return excess, mu
-            return excess, mu + excess / (_LN2 * sum(x * (1.0 - x) / w for _, x, w in nodes))
+            with np.errstate(over="ignore"):  # mu/w_i and x_i/w_i at a subnormal w_i
+                shift = np.divide(mu, w, out=np.full_like(w, np.inf), where=w > 0.0)
+                _, x = stages[:] = _stage_array(2.0 * level + shift)
+                spread = np.divide(x * (1.0 - x), w, out=np.zeros_like(w), where=w > 0.0)
+            excess = x.sum(axis=0) - 1.0
+            step = np.divide(excess, _LN2 * spread.sum(axis=0), out=np.zeros_like(excess), where=excess > 0.0)
+            return excess, mu + step
 
-        mu = _dinkelbach(newton)
-        surplus = sum(w * u for u, _, w in nodes) + mu * sum(x for _, x, _ in nodes) - level * base
-        return surplus, level + surplus / (base + 2.0 * sum(w * x for _, x, w in nodes))
+        mu = _dinkelbach(newton, np.zeros_like(eps))
+        u, x = stages
+        surplus = (w * u).sum(axis=0) + mu * x.sum(axis=0) - level * base
+        return surplus, level + surplus / (base + 2.0 * (w * x).sum(axis=0))
 
-    return _dinkelbach(maximizer)
+    value = _dinkelbach(maximizer, np.zeros_like(eps))
+    return float(value[0]) if np.ndim(epsilon) == 0 else value
 
 
 def capacity_12(epsilon: float) -> CapacityResult:
@@ -437,7 +450,7 @@ def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
     _zero_run and _as_zero_run as the point solvers with numpy stages, so
     each entry is within a few ulps of its point solver and does not
     depend on the other entries; the memory held is a few arrays of
-    len(epsilons). fb-ub-2inf calls fb_upper_2inf once per entry.
+    len(epsilons). fb-ub-2inf is one fb_upper_2inf call on the array.
 
     Raises:
         DomainError: an epsilon outside [0, 1], or k or d not a positive
@@ -446,12 +459,9 @@ def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
     """
     if name not in CURVES:
         raise ValueError(f"unknown curve {name!r}; choose from {', '.join(CURVES)}")
-    eps = np.array(epsilons, dtype=float, ndmin=1)
-    bad = ~((eps >= 0.0) & (eps <= 1.0))
-    if bad.any():
-        _check_eps(float(eps[bad][0]))
+    eps = _eps_array(epsilons)
     if name == "fb-ub-2inf":
-        return np.array([fb_upper_2inf(e) for e in eps.ravel().tolist()]).reshape(eps.shape)
+        return fb_upper_2inf(eps)
     if name == "unconstrained":
         return 1.0 - eps
     k, weight, scale = _as_zero_run(name, 1.0 - eps, param)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 INF = math.inf
 
 
@@ -93,24 +91,3 @@ def validate_sequence(c: RllConstraint, bits) -> bool:
     """True iff every prefix of the sequence is admissible."""
     return first_violation(c, bits) is None
 
-
-def adjacency(c: RllConstraint) -> np.ndarray:
-    """0/1 transition matrix of the state walk (row = from, column = to)."""
-    n = c.num_states
-    a = np.zeros((n, n))
-    for s in range(n):
-        if s < c.k:
-            a[s, min(s + 1, n - 1)] = 1.0  # emit '0'
-        if s >= c.d:
-            a[s, 0] = 1.0  # emit '1'
-    return a
-
-
-def noiseless_capacity(c: RllConstraint) -> float:
-    """log2 of the spectral radius of the constraint graph.
-
-    This is the growth exponent of the number of admissible length-n
-    sequences (Shannon): the Perron root of adjacency(c), which is real
-    and the largest eigenvalue of the non-negative matrix.
-    """
-    return float(np.log2(np.linalg.eigvals(adjacency(c)).real.max()))

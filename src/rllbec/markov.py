@@ -1,9 +1,8 @@
-"""Finite Markov chains and the two chains induced by the coding scheme.
+"""Finite Markov chains and the labeling chain of the coding scheme.
 
 The labeling chain tracks which labeling rule the transmitter applies at
-each channel use; the zero-run chain tracks how many '0's went through
-since the last delivered '1'. stationary() solves for the law of any
-such chain directly; the zero-run chain also has a closed form.
+each channel use. stationary() solves for the law of any such chain
+directly.
 """
 
 from __future__ import annotations
@@ -77,11 +76,6 @@ def stationary(chain: FiniteChain, start: int = 0) -> np.ndarray:
     return pi
 
 
-def _check_eps_delta(epsilon, delta):
-    delta = tuple(delta)
-    return SchemeParams(epsilon, len(delta), delta).delta
-
-
 def build_labeling_chain(epsilon: float, delta) -> FiniteChain:
     """Output-driven chain over the labeling rules of a coding session.
 
@@ -93,7 +87,8 @@ def build_labeling_chain(epsilon: float, delta) -> FiniteChain:
         ~l0:         eb*delta_0 to l1, everything else to l0
         l_k:         1 to l0 (the input is forced, any output resets)
     """
-    delta = _check_eps_delta(epsilon, delta)
+    delta = tuple(delta)
+    delta = SchemeParams(epsilon, len(delta), delta).delta
     k = len(delta)
     eb = 1.0 - epsilon
     P = np.zeros((k + 2, k + 2))
@@ -107,39 +102,3 @@ def build_labeling_chain(epsilon: float, delta) -> FiniteChain:
     P[k + 1, 1] = 1.0
     return FiniteChain(P)
 
-
-def build_s_chain(epsilon: float, delta) -> FiniteChain:
-    """Chain counting consecutive '0's that made it through the channel.
-
-    State j in 0..k is the current zero-run length. An erased slot
-    carries a forced '1' (the separation rule of the restricted code),
-    so the run advances only when a '0' goes through un-erased:
-
-        row j < k: (1-eps)*delta_j forward to j+1, the rest back to 0
-        row k:     back to 0 surely
-    """
-    delta = _check_eps_delta(epsilon, delta)
-    k = len(delta)
-    eb = 1.0 - epsilon
-    P = np.zeros((k + 1, k + 1))
-    for j in range(k):
-        fwd = eb * delta[j]
-        P[j, j + 1] = fwd
-        P[j, 0] = 1.0 - fwd
-    P[k, 0] = 1.0
-    return FiniteChain(P)
-
-
-def s_chain_stationary_exact(epsilon: float, delta) -> np.ndarray:
-    """Closed form for stationary(build_s_chain(epsilon, delta)).
-
-    pi_j is proportional to (1-eps)^j * prod_{m<j} delta_m for j = 0..k.
-    """
-    delta = _check_eps_delta(epsilon, delta)
-    k = len(delta)
-    eb = 1.0 - epsilon
-    w = np.empty(k + 1)
-    w[0] = 1.0
-    for j in range(1, k + 1):
-        w[j] = w[j - 1] * eb * delta[j - 1]
-    return w / w.sum()

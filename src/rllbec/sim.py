@@ -1,6 +1,6 @@
 """Monte Carlo side: an erasure channel with explicit seeding, a trial
-harness for the coding scheme, occupancy statistics for the labeling
-rules, and a renewal-cost simulator for the minimum-run-length family.
+harness for the coding scheme, and occupancy statistics for the labeling
+rules.
 
 The trial harness steps every unfinished trial together: one channel
 use of all of them is one call of codec.ArrayCodec.step on int64
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity, h2, rate
+from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity, rate
 from .markov import build_labeling_chain, stationary
 
 _CHUNK = 4096  # trials stepped together, which bounds the memory for any count
@@ -260,9 +260,7 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
         codec.EmptySet: an update emptied a live set, which the codec
             never does.
     """
-    _check_k(log2_messages, "log2_messages")
-    _check_k(trials, "trials")
-    log2_messages, trials = int(log2_messages), int(trials)
+    log2_messages, trials = _check_k(log2_messages, "log2_messages"), _check_k(trials, "trials")
     if log2_messages > 62:
         raise DomainError(f"log2_messages must lie in [1, 62], got {log2_messages}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -275,6 +273,7 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
+    k = params.k
     if max_uses is None:
         r = rate(params)
         if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
@@ -328,25 +327,3 @@ def label_occupancy_check(report: SimReport, epsilon: float, delta) -> float:
     freq = np.array([report.label_histogram[nm] / total for nm in names])
     return float(np.max(np.abs(freq - pi)))
 
-
-def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
-                       horizon_symbols: int, seed) -> float:
-    """Empirical rate of the renewal process behind nc_capacity_d_inf.
-
-    Each information symbol costs geometric(1-eps) uses until a slot is
-    delivered, plus d forced '0's when the delivered bit is a '1'
-    (drawn with probability delta). Returns H2(delta) * symbols / uses.
-    """
-    _check_eps(epsilon)
-    if epsilon == 1.0:
-        raise DomainError(f"need erasure probability in [0, 1), got {epsilon!r}")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError(f"need delta in [0, 1/2], got {delta!r}")
-    _check_k(d, "d")
-    _check_k(horizon_symbols, "horizon_symbols")
-    horizon_symbols = int(horizon_symbols)
-    rng = np.random.default_rng(seed)
-    waits = rng.geometric(1.0 - epsilon, size=horizon_symbols)
-    ones = rng.random(horizon_symbols) < delta
-    total_uses = int(waits.sum() + d * ones.sum())
-    return h2(delta) * horizon_symbols / total_uses

@@ -25,12 +25,13 @@ from rllbec import (
     grid_max_rate,
     h2,
     nc_capacity_d_inf,
-    noiseless_capacity,
     rate,
     stationarity_residual,
 )
 from rllbec import capacity
 from rllbec.capacity import CURVES, _MARGIN, _stage, _stage_array
+
+from oracles import noiseless_capacity
 
 LOG2_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 EPS_STAR = 1.0 - 1.0 / math.log2(9.0 / 4.0)  # where fb-ub-2inf leaves nc-dinf at d = 2
@@ -95,6 +96,10 @@ class TestSchemeParams:
             SchemeParams(0.5, 1, (1.4,))
         with pytest.raises(DomainError):
             SchemeParams(0.5, 0, ())
+        # an integral k of another type is stored as an int
+        for k in (2.0, np.int64(2)):
+            p = SchemeParams(0.3, k, (0.4, 0.3))
+            assert type(p.k) is int and p == SchemeParams(0.3, 2, (0.4, 0.3))
 
     def test_coerces_to_floats(self):
         p = SchemeParams(0.5, 2, [1, 0])
@@ -152,6 +157,8 @@ class TestDeltaChain:
             delta_chain(0.5, -0.1, 2)
         with pytest.raises(DomainError):
             delta_chain(0.5, 0.0, 0)
+        for k in (2.0, np.int64(2)):
+            assert delta_chain(0.4, 0.3, k) == delta_chain(0.4, 0.3, 2)
 
 
 class TestStationarityResidual:
@@ -416,6 +423,10 @@ class TestGridSearch:
         for grid_n in (10.5, None, float("nan")):
             with pytest.raises(DomainError, match="grid_n"):
                 grid_argmax_rate(0.3, 2, grid_n)
+        value, point = grid_argmax_rate(0.3, 2, 11)
+        for k, grid_n in ((2.0, 11), (np.int64(2), 11.0)):
+            v, x = grid_argmax_rate(0.3, k, grid_n)
+            assert v == value and x.tolist() == point.tolist()
 
 
 class TestNcCapacityDInf:
@@ -484,9 +495,13 @@ def fb_upper_mp(eps):
 
 class TestFbUpper2Inf:
     def test_matches_a_40_digit_kkt_solve(self):
-        # above EPS_STAR, where the simplex constraint is active
-        for eps in np.linspace(0.15, 0.99, 22):
-            assert abs(fb_upper_2inf(eps) - float(fb_upper_mp(eps))) <= 2.2e-16
+        # above EPS_STAR, where the simplex constraint is active; the point
+        # and the curve, all 22 entries in one call
+        grid = np.linspace(0.15, 0.99, 22)
+        for eps, value in zip(grid, capacity_curve("fb-ub-2inf", grid)):
+            exact = float(fb_upper_mp(eps))
+            assert abs(fb_upper_2inf(eps) - exact) <= 2.2e-16
+            assert abs(value - exact) <= 2.2e-16
 
     def test_finite_at_extreme_epsilons(self):
         # a = 2R + mu/w_i grows as w_i = (1-eps)*eps^i shrinks; no stage may
@@ -495,7 +510,27 @@ class TestFbUpper2Inf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = [fb_upper_2inf(e) for e in eps]
+            curve = fb_upper_2inf(np.array(eps))
         assert all(0.0 < v < 1.0 for v in values)
+        assert curve.tolist() == values
+
+    def test_shapes(self):
+        # a float gives a float; an array keeps its shape, entry by entry
+        value = fb_upper_2inf(0.3)
+        assert type(value) is float and fb_upper_2inf(np.float64(0.3)) == value
+        assert np.shape(fb_upper_2inf(np.array(0.3))) == ()
+        grid = np.linspace(0.0, 1.0, 12)
+        assert fb_upper_2inf(grid).shape == (12,)
+        square = fb_upper_2inf(grid.reshape(3, 4))
+        assert square.shape == (3, 4)
+        assert square.ravel().tolist() == [fb_upper_2inf(e) for e in grid]
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            fb_upper_2inf(bad)
+        with pytest.raises(DomainError):
+            fb_upper_2inf(np.array([0.2, bad, 0.5]))
 
     def test_frozen_values(self):
         assert abs(fb_upper_2inf(0.0) - 0.5514630897459566) <= 1e-6

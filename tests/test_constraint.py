@@ -10,13 +10,13 @@ from rllbec import (
     INF,
     IllegalEdge,
     RllConstraint,
-    adjacency,
     first_violation,
     initial_state,
     next_state,
-    noiseless_capacity,
     validate_sequence,
 )
+
+from oracles import noiseless_capacity
 
 LOG2_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 

@@ -8,13 +8,13 @@ from rllbec import (
     FiniteChain,
     SchemeParams,
     build_labeling_chain,
-    build_s_chain,
     h2,
     label_of,
     rate,
-    s_chain_stationary_exact,
     stationary,
 )
+
+from oracles import build_s_chain, s_chain_stationary_exact
 
 
 class TestFiniteChain:

@@ -21,12 +21,13 @@ from rllbec import (
     label_of,
     nc_capacity_d_inf,
     next_label,
-    renewal_rate_d_inf,
     codec,
     run_feedback_sim,
     sim,
     transmit_message,
 )
+
+from oracles import renewal_rate_d_inf
 
 GOLDEN = 0.6942419136306173  # log2 of the golden ratio
 
@@ -210,6 +211,11 @@ class TestRunFeedbackSim:
             run_feedback_sim(1, 0.0, 8, 1.5)
         with pytest.raises(DomainError, match="log2_messages"):
             run_feedback_sim(1, 0.0, 8.5, 1)
+        # integral values of other types are counts like any int
+        for k in (2.0, np.int64(2)):
+            assert run_feedback_sim(k, 0.3, 8, 5) == run_feedback_sim(2, 0.3, 8, 5)
+            delta = feedback_capacity(0.3, 2).argmax.delta
+            assert run_feedback_sim(k, 0.3, 8.0, np.int64(5), delta=delta) == run_feedback_sim(2, 0.3, 8, 5)
         # a negative cap once censored every trial; 0 stays valid
         for max_uses in (-3, 2.5, "10"):
             with pytest.raises(DomainError, match="max_uses"):
