@@ -2,9 +2,10 @@
 
 Subcommands: capacity (single point), sweep (curves over an epsilon
 grid, CSV or JSON; one capacity_curve call per curve column, over the
-whole grid), simulate (Monte Carlo transmissions), oracle (exact grid
-maximum vs the solver and its certified upper bound), validate (check
-bit strings against a run-length constraint).
+whole grid, and the text written from those columns), simulate (Monte
+Carlo transmissions), oracle (exact grid maximum vs the solver and its
+certified upper bound), validate (check bit strings against a
+run-length constraint).
 
 Exit codes: 0 success, 1 validation failures, 2 usage error, 3 a
 simulation or oracle invariant failed.
@@ -81,14 +82,25 @@ def cmd_capacity(args) -> int:
     return 0
 
 
+def _json_items(values: list) -> list[str]:
+    """json's text of each scalar in values, from one call of the C encoder
+    (indent would send json.dumps through the pure-Python one)."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
 def cmd_sweep(args) -> int:
     curves = [c for c in args.curves.split(",") if c != ""]
+    if not curves:
+        raise ValueError(f"--curves names no curve; choose from {', '.join(cap.CURVES)}")
     for c in curves:
         if c not in cap.CURVES:
             raise ValueError(f"unknown curve {c!r}; choose from {', '.join(cap.CURVES)}")
     grid = _parse_grid(args.grid)
     ks = _parse_int_list(args.k, "--k")
     ds = _parse_int_list(args.d, "--d")
+    for flag, values, curve in (("--k", ks, "fb0k"), ("--d", ds, "nc-dinf")):
+        if curve in curves and not values:
+            raise ValueError(f"{flag} lists no value for the {curve} curve")
     columns = []  # (curve, k column, param of capacity_curve)
     for curve in curves:
         if curve == "fb0k":
@@ -97,21 +109,26 @@ def cmd_sweep(args) -> int:
             columns += [(curve, f"{d},inf", d) for d in ds]
         else:
             columns.append((curve, _LABELS[curve], None))
-    rows = []
-    for curve, kcol, param in columns:
-        values = cap.capacity_curve(curve, grid, param).tolist()
-        rows += [{"curve": curve, "epsilon": e, "k": kcol, "value": v} for e, v in zip(grid, values)]
-    # stable, so duplicate columns keep their order
-    rows.sort(key=lambda r: (r["epsilon"], r["curve"], str(r["k"])))
+    # rows run over the grid, which is increasing, and at each epsilon over
+    # the columns sorted by (curve, str(k)); stable, so duplicates keep their order
+    columns = sorted(((curve, kcol, cap.capacity_curve(curve, grid, param).tolist())
+                      for curve, kcol, param in columns), key=lambda c: (c[0], str(c[1])))
 
     def render(out):
+        # byte for byte the row-dict path that tests/oracles.py keeps as reference
         if args.format == "json":
-            out.write(_emit_json(rows) + "\n")
+            heads = [(f'  {{\n    "curve": {json.dumps(c)},\n    "epsilon": ',
+                      f',\n    "k": {json.dumps(k)},\n    "value": ') for c, k, _ in columns]
+            values = zip(*(_json_items(v) for _, _, v in columns))
+            rows = [f"{pre}{e}{mid}{v}\n  }}" for e, vs in zip(_json_items(grid), values)
+                    for (pre, mid), v in zip(heads, vs)]
+            out.write("[\n" + ",\n".join(rows) + "\n]\n")
         else:
             w = csv.writer(out, lineterminator="\n")
             w.writerow(["curve", "epsilon", "k", "value"])
-            for r in rows:
-                w.writerow([r["curve"], f"{r['epsilon']:.12g}", r["k"], f"{r['value']:.12g}"])
+            values = zip(*([f"{v:.12g}" for v in vs] for _, _, vs in columns))
+            w.writerows([c, e, k, v] for e, vs in zip([f"{e:.12g}" for e in grid], values)
+                        for (c, k, _), v in zip(columns, vs))
 
     if args.out == "-":
         render(sys.stdout)

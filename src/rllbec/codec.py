@@ -221,14 +221,13 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     return session.live.lo, session.uses, x_seq
 
 
-def mul128(a, b):
-    """Full 128-bit product of uint64 arrays a and b, as the pair (high, low)
-    of uint64 words, built from 32-bit halves so no partial product wraps."""
+def mulhi(a, b_lo, b_hi):
+    """High uint64 word of the 128-bit product of uint64 arrays a and b, with
+    b given as its 32-bit halves, so no partial product wraps."""
     a_lo, a_hi = a & _LOW32, a >> 32
-    b_lo, b_hi = b & _LOW32, b >> 32
     t = a_hi * b_lo + ((a_lo * b_lo) >> 32)  # at most (2**32 - 1) * 2**32
     u = (t & _LOW32) + a_lo * b_hi           # likewise
-    return a_hi * b_hi + (t >> 32) + (u >> 32), a * b
+    return a_hi * b_hi + (t >> 32) + (u >> 32)
 
 
 class ArrayCodec:
@@ -238,9 +237,10 @@ class ArrayCodec:
     transmit_message (input_bit, update_live, next_label), and
     zero_counts() that of partition's count; the scalar functions stay
     the specification. Live sizes lie below 2**63, and the '0' block
-    size floor(delta_j * a) is exact there: a float delta_j is p / 2**e
-    with p < 2**53, so the size is the 128-bit product p * a (mul128)
-    shifted right by e.
+    size floor(delta_j * a) is exact there: a float delta_j <= 1/2 is
+    p / 2**e with p < 2**53, so b = p << (64 - e) lies below 2**64 for
+    e <= 64, and the size is the high word of b * a (mulhi), shifted right
+    by max(e - 64, 0).
 
     Raises:
         DomainError: some delta_j > 1/2, as transmit_message does.
@@ -249,14 +249,15 @@ class ArrayCodec:
     def __init__(self, params: SchemeParams):
         _check_safe(params)
         k = params.k
-        p = np.zeros(k + 2, dtype=np.uint64)
-        e = np.zeros(k + 2, dtype=np.uint64)
+        mul = np.zeros((3, k + 2), dtype=np.uint64)  # b's low and high halves, shift
         for label in range(k + 2):
             if label != label_of(k):  # L(k) keeps an empty '0' block
                 num, den = params.delta[delta_index(label)].as_integer_ratio()
-                # a product below 2**116 shifted by 127 is 0, as by any e above
-                p[label], e[label] = num, min(den.bit_length() - 1, 127)
-        self._p, self._e = p, e
+                # p * a < 2**116, so e >= 116 gives 0; e <= 127 keeps the shift below 64
+                e = min(den.bit_length() - 1, 127)
+                b = num << max(64 - e, 0)
+                mul[:, label] = b & 0xFFFFFFFF, b >> 32, max(e - 64, 0)
+        self._mul = mul
         self._bump = np.arange(k + 2) != label_of(k)
         # next_label by (rule, output), output 2 standing for an erasure
         self._next = np.array([[next_label(lab, y, k) for y in (0, 1, None)]
@@ -264,13 +265,9 @@ class ArrayCodec:
 
     def zero_counts(self, labels, sizes):
         """partition(label, size, params)[0] of each (label, size) pair."""
-        e = self._e[labels]
-        hi64, lo64 = mul128(sizes.astype(np.uint64), self._p[labels])
-        s = e & 63
-        # (hi64 << 1) << (63 - s) is hi64 << (64 - s), and 0 at s = 0
-        zc = np.where(e < 64, (lo64 >> s) | ((hi64 << 1) << (63 - s)), hi64 >> s).astype(np.int64)
-        zc[(zc == 0) & (sizes >= 2) & self._bump[labels]] = 1  # the one-message bump
-        return zc
+        b_lo, b_hi, shift = self._mul.take(labels, axis=1)
+        zc = (mulhi(sizes.astype(np.uint64), b_lo, b_hi) >> shift).astype(np.int64)
+        return np.maximum(zc, self._bump[labels] & (sizes >= 2))  # the one-message bump
 
     def step(self, labels, lo, hi, m, erased):
         """One channel use of every session; erased masks the erased outputs.

@@ -79,6 +79,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # entropy mixing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # state generation
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _LCG_HI, _LCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LCG_LO_HALVES = _LCG_LO & np.uint64(0xFFFFFFFF), _LCG_LO >> np.uint64(32)
 
 
 def _hasher(const, mult):
@@ -144,9 +145,8 @@ def _generator(seed: int, t, spawn: int):
 
 def _step(hi, lo, inc_hi, inc_lo):
     """One step of the 128-bit LCGs: state * multiplier + inc, on uint64 halves."""
-    p_hi, p_lo = codec.mul128(lo, _LCG_LO)
-    p_hi = p_hi + lo * _LCG_HI + hi * _LCG_LO
-    lo = p_lo + inc_lo
+    p_hi = codec.mulhi(lo, *_LCG_LO_HALVES) + lo * _LCG_HI + hi * _LCG_LO
+    lo = lo * _LCG_LO + inc_lo
     return p_hi + inc_hi + (lo < inc_lo), lo
 
 

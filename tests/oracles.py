@@ -2,13 +2,18 @@
 
 Each is an independent route to a number the package computes another
 way: the constraint graph's Perron root, the zero-run chain and its
-closed-form law, and a Monte Carlo of the renewal process behind
-nc_capacity_d_inf.
+closed-form law, a Monte Carlo of the renewal process behind
+nc_capacity_d_inf, and the text of `rllbec sweep` built one row dict at
+a time.
 """
+
+import csv
+import io
+import json
 
 import numpy as np
 
-from rllbec import FiniteChain, RllConstraint, SchemeParams
+from rllbec import FiniteChain, RllConstraint, SchemeParams, capacity_curve
 from rllbec.capacity import DomainError, _check_eps, _check_k, h2
 
 
@@ -96,3 +101,32 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
     ones = rng.random(horizon_symbols) < delta
     total_uses = int(waits.sum() + d * ones.sum())
     return h2(delta) * horizon_symbols / total_uses
+
+
+def sweep_text(curves, grid, ks=(), ds=(), fmt="csv") -> str:
+    """What `rllbec sweep` writes for these curves over the grid points:
+    one dict per (epsilon, column) row, stably sorted by (epsilon, curve,
+    str(k)), then json.dumps(rows, indent=2, sort_keys=True) or one
+    csv.writer row per dict with epsilon and value as .12g."""
+    labels = {"unconstrained": "unconstrained", "fb-ub-2inf": "2,inf", "cap-12": "1,2"}
+    columns = []  # (curve, k column, param of capacity_curve)
+    for curve in curves:
+        if curve == "fb0k":
+            columns += [(curve, k, k) for k in ks]
+        elif curve == "nc-dinf":
+            columns += [(curve, f"{d},inf", d) for d in ds]
+        else:
+            columns.append((curve, labels[curve], None))
+    rows = []
+    for curve, kcol, param in columns:
+        values = capacity_curve(curve, grid, param).tolist()
+        rows += [{"curve": curve, "epsilon": e, "k": kcol, "value": v} for e, v in zip(grid, values)]
+    rows.sort(key=lambda r: (r["epsilon"], r["curve"], str(r["k"])))
+    if fmt == "json":
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["curve", "epsilon", "k", "value"])
+    for r in rows:
+        w.writerow([r["curve"], f"{r['epsilon']:.12g}", r["k"], f"{r['value']:.12g}"])
+    return out.getvalue()

@@ -10,6 +10,7 @@ import re
 import shlex
 
 import pytest
+from oracles import sweep_text
 
 from rllbec import cli, feedback_capacity, run_feedback_sim
 from rllbec.capacity import CURVES
@@ -89,11 +90,18 @@ class TestSweep:
         ["sweep", "--grid", "1:0:0.1"],
         ["sweep", "--curves", "bogus"],
         ["sweep", "--k", "one"],
+        ["sweep", "--curves", ","],
+        ["sweep", "--curves", ""],
+        ["sweep", "--curves", "fb0k", "--k", ","],
+        ["sweep", "--curves", "cap-12,nc-dinf", "--d", ""],
+        ["sweep", "--curves", "nc-dinf,fb0k", "--k", ",,", "--d", "1"],
     ])
     def test_usage_errors(self, capsys, bad):
-        code, _, err = run_cli(capsys, bad)
-        assert code == 2
+        code, out, err = run_cli(capsys, bad)
+        assert code == 2 and out == ""
         assert "error" in err
+        # a flag whose list is empty is named
+        assert all(flag in err for flag, v in zip(bad, bad[1:]) if v.strip(",") == "")
 
     @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.5", "0:1:nan", "-inf:1:0.5"])
     def test_non_finite_grid(self, capsys, grid):
@@ -155,6 +163,41 @@ class TestSweep:
         for r in rows:
             if r["curve"] == "fb0k":
                 assert abs(r["value"] - feedback_capacity(r["epsilon"], r["k"]).value) <= 4.4e-16
+
+    # id: (--curves, --k, --d, --grid); an empty --k or --d is fine where
+    # no curve reads it
+    REFERENCE_CASES = {
+        "all-curves": ("fb0k,unconstrained,nc-dinf,fb-ub-2inf,cap-12", "1,2", "2", "0:1:0.05"),
+        "duplicate-unsorted": ("nc-dinf,fb0k,cap-12,fb0k", "8,1,16,2,1", "3,1,3", "0:1:0.1"),
+        "one-column": ("nc-dinf", ",", "2", "0:1:0.25"),
+        "below-float-spacing": ("fb0k,unconstrained", "2", "", "0.5:0.5000000000000004:1e-17"),
+        "5001-points": ("fb-ub-2inf,fb0k,nc-dinf", "64,1", "1", "0:1:0.0002"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_bytes_equal_the_row_reference(self, capsys, tmp_path, case, fmt):
+        curves, ks, ds, grid = self.REFERENCE_CASES[case]
+        argv = ["sweep", "--curves", curves, "--k", ks, "--d", ds, "--grid", grid, "--format", fmt]
+        want = sweep_text(curves.split(","), cli._parse_grid(grid),
+                          [int(k) for k in ks.split(",") if k], [int(d) for d in ds.split(",") if d], fmt)
+        assert run_cli(capsys, argv) == (0, want, "")
+        path = tmp_path / f"curves.{fmt}"
+        assert run_cli(capsys, argv + ["--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == want.encode()
+
+    def test_json_skips_the_pure_python_encoder(self, capsys, monkeypatch):
+        # json.dumps with indent runs json.encoder._make_iterencode, which
+        # is many times slower than the C encoder on large sweeps
+        def slow_path(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", slow_path)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            cli._emit_json([{"k": 1}])
+        code, out, err = run_cli(capsys, self.ARGS + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)) == 18
 
 
 class TestSimulate:
