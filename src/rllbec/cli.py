@@ -7,6 +7,12 @@ Carlo transmissions), oracle (exact grid maximum vs the solver and its
 certified upper bound), validate (check bit strings against a
 run-length constraint).
 
+One table, _COMMANDS, holds every command's handler and flags. A
+well-formed `CMD --flag value ...` argv is read straight from it, with
+no parser built. Help, usage errors and every other argparse form
+(--flag=value, flag prefixes, negative values, --) go through the
+argparse tree built from the same table, so their output is unchanged.
+
 Exit codes: 0 success, 1 validation failures, 2 usage error, 3 a
 simulation or oracle invariant failed.
 """
@@ -201,56 +207,93 @@ def cmd_validate(args) -> int:
     return 1 if any_violation else 0
 
 
+# Every command: its handler, its help and each flag's add_argument
+# kwargs, in the order the help lists them. _build_parser and _parse both
+# read this table, so a flag is written once, here.
+_COMMANDS = {
+    "capacity": (cmd_capacity, "feedback capacity at one (epsilon, k) point", {
+        "--k": dict(type=int, required=True, help="maximum zero-run length"),
+        "--epsilon": dict(type=float, required=True, help="erasure probability"),
+    }),
+    "sweep": (cmd_sweep, "evaluate capacity curves over an epsilon grid", {
+        "--curves": dict(default="fb0k", help=f"comma list from: {', '.join(cap.CURVES)}"),
+        "--k": dict(default="1", help="comma list of k values (fb0k curve)"),
+        "--d": dict(default="2", help="comma list of d values (nc-dinf curve)"),
+        "--grid": dict(default="0:1:0.05", help="epsilon grid as start:stop:step"),
+        "--out": dict(default="-", help="output path, '-' for stdout"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+    }),
+    "simulate": (cmd_simulate, "Monte Carlo transmissions of the coding scheme", {
+        "--k": dict(type=int, required=True),
+        "--epsilon": dict(type=float, required=True),
+        "--log2-messages": dict(type=int, required=True, dest="log2_messages"),
+        "--trials": dict(type=int, required=True),
+        "--seed": dict(type=int, default=0),
+        "--delta": dict(default="optimal", help="'optimal' or comma-separated values"),
+        "--max-uses": dict(type=int, default=None, dest="max_uses",
+                           help="per-trial channel-use cap (required above 1e6 expected uses, "
+                                "as at --epsilon 1)"),
+    }),
+    "oracle": (cmd_oracle, "exact grid maximum vs the solver and its upper bound", {
+        "--k": dict(type=int, required=True),
+        "--epsilon": dict(type=float, required=True),
+        "--grid-n": dict(type=int, default=201, dest="grid_n",
+                         help="grid points per axis, 2 to 1e7"),
+    }),
+    "validate": (cmd_validate, "check bit strings on stdin against a (d, k) constraint", {
+        "--d": dict(type=int, default=0),
+        "--k": dict(required=True, help="integer or 'inf'"),
+    }),
+}
+
+
 @functools.cache  # once per process: parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rllbec",
         description="Feedback capacity and zero-error coding for run-length limited erasure channels.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("capacity", help="feedback capacity at one (epsilon, k) point")
-    pc.add_argument("--k", type=int, required=True, help="maximum zero-run length")
-    pc.add_argument("--epsilon", type=float, required=True, help="erasure probability")
-    pc.set_defaults(func=cmd_capacity)
-
-    ps = sub.add_parser("sweep", help="evaluate capacity curves over an epsilon grid")
-    ps.add_argument("--curves", default="fb0k", help=f"comma list from: {', '.join(cap.CURVES)}")
-    ps.add_argument("--k", default="1", help="comma list of k values (fb0k curve)")
-    ps.add_argument("--d", default="2", help="comma list of d values (nc-dinf curve)")
-    ps.add_argument("--grid", default="0:1:0.05", help="epsilon grid as start:stop:step")
-    ps.add_argument("--out", default="-", help="output path, '-' for stdout")
-    ps.add_argument("--format", choices=("csv", "json"), default="csv")
-    ps.set_defaults(func=cmd_sweep)
-
-    pm = sub.add_parser("simulate", help="Monte Carlo transmissions of the coding scheme")
-    pm.add_argument("--k", type=int, required=True)
-    pm.add_argument("--epsilon", type=float, required=True)
-    pm.add_argument("--log2-messages", type=int, required=True, dest="log2_messages")
-    pm.add_argument("--trials", type=int, required=True)
-    pm.add_argument("--seed", type=int, default=0)
-    pm.add_argument("--delta", default="optimal", help="'optimal' or comma-separated values")
-    pm.add_argument("--max-uses", type=int, default=None, dest="max_uses",
-                    help="per-trial channel-use cap (required above 1e6 expected uses, "
-                         "as at --epsilon 1)")
-    pm.set_defaults(func=cmd_simulate)
-
-    po = sub.add_parser("oracle", help="exact grid maximum vs the solver and its upper bound")
-    po.add_argument("--k", type=int, required=True)
-    po.add_argument("--epsilon", type=float, required=True)
-    po.add_argument("--grid-n", type=int, default=201, dest="grid_n",
-                    help="grid points per axis, 2 to 1e7")
-    po.set_defaults(func=cmd_oracle)
-
-    pv = sub.add_parser("validate", help="check bit strings on stdin against a (d, k) constraint")
-    pv.add_argument("--d", type=int, default=0)
-    pv.add_argument("--k", required=True, help="integer or 'inf'")
-    pv.set_defaults(func=cmd_validate)
+    for name, (func, help_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag, kwargs in flags.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
+def _parse(argv) -> argparse.Namespace | None:
+    """The Namespace argparse returns for a well-formed `CMD --flag value
+    ...` argv, without building a parser; None for any other argv (help,
+    errors, --flag=value, prefixes, values starting with '-', --), which
+    argparse then reads. A repeated flag keeps its last value."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, flags = _COMMANDS[argv[0]]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = flags.get(flag)
+        if kwargs is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    if any(kw.get("required") and flag not in given for flag, kw in flags.items()):
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        kw.get("dest", flag[2:].replace("-", "_")): given.get(flag, kw.get("default"))
+        for flag, kw in flags.items()}, func=func)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:  # help and usage errors print and exit here
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (cap.DomainError, ValueError) as exc:

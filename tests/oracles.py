@@ -3,18 +3,22 @@
 Each is an independent route to a number the package computes another
 way: the constraint graph's Perron root, the zero-run chain and its
 closed-form law, a Monte Carlo of the renewal process behind
-nc_capacity_d_inf, and the text of `rllbec sweep` built one row dict at
-a time.
+nc_capacity_d_inf, the text of `rllbec sweep` built one row dict at a
+time, and the CLI's argparse tree built one add_argument call at a time.
 """
 
+import argparse
 import csv
+import functools
 import io
 import json
 
 import numpy as np
 
 from rllbec import FiniteChain, RllConstraint, SchemeParams, capacity_curve
+from rllbec import capacity as cap
 from rllbec.capacity import DomainError, _check_eps, _check_k, h2
+from rllbec.cli import cmd_capacity, cmd_oracle, cmd_simulate, cmd_sweep, cmd_validate
 
 
 def adjacency(c: RllConstraint) -> np.ndarray:
@@ -130,3 +134,53 @@ def sweep_text(curves, grid, ks=(), ds=(), fmt="csv") -> str:
     for r in rows:
         w.writerow([r["curve"], f"{r['epsilon']:.12g}", r["k"], f"{r['value']:.12g}"])
     return out.getvalue()
+
+
+@functools.cache  # parse_args leaves the parser as it is
+def reference_parser() -> argparse.ArgumentParser:
+    """The `rllbec` argparse tree written out flag by flag, which
+    cli._build_parser builds from its command table and cli._parse reads
+    without building."""
+    p = argparse.ArgumentParser(
+        prog="rllbec",
+        description="Feedback capacity and zero-error coding for run-length limited erasure channels.")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    pc = sub.add_parser("capacity", help="feedback capacity at one (epsilon, k) point")
+    pc.add_argument("--k", type=int, required=True, help="maximum zero-run length")
+    pc.add_argument("--epsilon", type=float, required=True, help="erasure probability")
+    pc.set_defaults(func=cmd_capacity)
+
+    ps = sub.add_parser("sweep", help="evaluate capacity curves over an epsilon grid")
+    ps.add_argument("--curves", default="fb0k", help=f"comma list from: {', '.join(cap.CURVES)}")
+    ps.add_argument("--k", default="1", help="comma list of k values (fb0k curve)")
+    ps.add_argument("--d", default="2", help="comma list of d values (nc-dinf curve)")
+    ps.add_argument("--grid", default="0:1:0.05", help="epsilon grid as start:stop:step")
+    ps.add_argument("--out", default="-", help="output path, '-' for stdout")
+    ps.add_argument("--format", choices=("csv", "json"), default="csv")
+    ps.set_defaults(func=cmd_sweep)
+
+    pm = sub.add_parser("simulate", help="Monte Carlo transmissions of the coding scheme")
+    pm.add_argument("--k", type=int, required=True)
+    pm.add_argument("--epsilon", type=float, required=True)
+    pm.add_argument("--log2-messages", type=int, required=True, dest="log2_messages")
+    pm.add_argument("--trials", type=int, required=True)
+    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--delta", default="optimal", help="'optimal' or comma-separated values")
+    pm.add_argument("--max-uses", type=int, default=None, dest="max_uses",
+                    help="per-trial channel-use cap (required above 1e6 expected uses, "
+                         "as at --epsilon 1)")
+    pm.set_defaults(func=cmd_simulate)
+
+    po = sub.add_parser("oracle", help="exact grid maximum vs the solver and its upper bound")
+    po.add_argument("--k", type=int, required=True)
+    po.add_argument("--epsilon", type=float, required=True)
+    po.add_argument("--grid-n", type=int, default=201, dest="grid_n",
+                    help="grid points per axis, 2 to 1e7")
+    po.set_defaults(func=cmd_oracle)
+
+    pv = sub.add_parser("validate", help="check bit strings on stdin against a (d, k) constraint")
+    pv.add_argument("--d", type=int, default=0)
+    pv.add_argument("--k", required=True, help="integer or 'inf'")
+    pv.set_defaults(func=cmd_validate)
+    return p

@@ -1,16 +1,22 @@
 """Command-line behaviour, exercised in process through cli.main."""
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
-from oracles import sweep_text
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_parser, sweep_text
 
 from rllbec import cli, feedback_capacity, run_feedback_sim
 from rllbec.capacity import CURVES
@@ -289,6 +295,14 @@ class TestOracle:
         assert doc["pass"] is True
         assert doc["abs_gap"] <= 1e-9
 
+    def test_failure_exit_code(self, capsys, monkeypatch):
+        # a grid value above the certified upper bound fails the oracle
+        monkeypatch.setattr(cli.cap, "grid_max_rate",
+                            lambda eps, k, n: feedback_capacity(eps, k).upper + 1e-9)
+        code, out, err = run_cli(capsys, ["oracle", "--k", "2", "--epsilon", "0.3", "--grid-n", "11"])
+        assert (code, err) == (3, "")
+        assert json.loads(out)["pass"] is False
+
     @pytest.mark.parametrize("grid_n", ["1", "10000001"])
     def test_grid_n_out_of_range(self, capsys, grid_n):
         code, out, err = run_cli(
@@ -333,6 +347,122 @@ class TestValidate:
         assert "error" in err
 
 
+# every command and its flags, in help order
+FLAGS = {
+    "capacity": ["--k", "--epsilon"],
+    "sweep": ["--curves", "--k", "--d", "--grid", "--out", "--format"],
+    "simulate": ["--k", "--epsilon", "--log2-messages", "--trials", "--seed", "--delta", "--max-uses"],
+    "oracle": ["--k", "--epsilon", "--grid-n"],
+    "validate": ["--d", "--k"],
+}
+
+
+def exit_of(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def reference_run(argv):
+    """The reference parser's Namespace, or its exit code, with its output
+    dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return reference_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+COMMAND_TOKENS = [*FLAGS, "bogus"]
+FLAG_TOKENS = sorted({f for flags in FLAGS.values() for f in flags}) + ["--eps", "--k=2", "-h", "--"]
+VALUE_TOKENS = ["-1", "-0.3", "", "x", " 3", "1_0", "1e400", "nan", "csv", "json", "-"]
+# values that each flag of that name converts, for well-formed argv
+GOOD_VALUES = {"--format": ["csv", "json"], "--epsilon": [" 3", "1_0", "nan", "1e400"]}
+
+
+@st.composite
+def argvs(draw):
+    """A command, then most of its flags and more flag-value pairs,
+    repeats included, with values that convert. Half the draws then spoil
+    some: any flag token for a flag, any token for a value, a stray token."""
+    command = draw(st.sampled_from(COMMAND_TOKENS))
+    own = FLAGS.get(command, [])
+    spoil = draw(st.booleans())
+
+    def spoilt():
+        return spoil and not draw(st.integers(0, 3))
+
+    flags = [f for f in draw(st.permutations(own)) if draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(own or FLAG_TOKENS), max_size=3))
+    argv = [command]
+    for flag in flags:
+        flag = draw(st.sampled_from(FLAG_TOKENS)) if spoilt() else flag
+        values = VALUE_TOKENS + ["--", "-h", "--k"] if spoilt() else GOOD_VALUES.get(flag, [" 3", "1_0"])
+        argv += [flag, draw(st.sampled_from(values))]
+    if spoilt():
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(COMMAND_TOKENS + FLAG_TOKENS + VALUE_TOKENS)))
+    return argv
+
+
+class TestParser:
+    def test_flags_match_the_table(self):
+        assert {name: list(flags) for name, (_, _, flags) in cli._COMMANDS.items()} == FLAGS
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in FLAGS])
+    def test_help_exits(self, capsys, argv):
+        code, out, err = exit_of(capsys, argv)
+        assert (code, err) == (0, "")
+        # a command's help lists its flags, the top level's the commands
+        assert all(word in out for word in FLAGS.get(argv[0], FLAGS))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["capacity", "--k", "2"], ["oracle", "--k", "x", "--epsilon", "0.3"]])
+    def test_usage_exits(self, capsys, argv):
+        code, out, err = exit_of(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "error:" in err
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_text_equals_the_reference(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in [["--help"]] + [[name, "--help"] for name in FLAGS]:
+            with pytest.raises(SystemExit) as exc:
+                reference_parser().parse_args(argv)
+            want = capsys.readouterr()
+            assert exit_of(capsys, argv) == (exc.value.code, want.out, want.err)
+
+    @settings(max_examples=300, database=None, deadline=None)
+    @given(argvs())
+    @example(["sweep", "--format", "x"])
+    @example(["sweep", "--out", "-"])
+    @example(["sweep", "--curves", "--"])
+    @example(["oracle", "--k", "1", "--epsilon", "-h"])
+    @example(["oracle", "--k", "1", "--epsilon", "-0.3", "--grid-n", "1_0"])
+    @example(["oracle", "--k", "1", "--k", "2", "--epsilon", "nan"])
+    @example(["oracle", "--k", "1"])
+    def test_fast_reader_equals_argparse(self, argv):
+        got = cli._parse(argv)
+        want = reference_run(argv)
+        if got is not None:
+            # repr, because --epsilon nan is accepted and nan != nan
+            assert isinstance(want, type(got))
+            assert {k: repr(v) for k, v in vars(got).items()} == {k: repr(v) for k, v in vars(want).items()}
+
+    def test_valid_command_builds_no_parser(self):
+        # argparse's gettext calls import locale; a valid argv needs neither
+        code = ("import contextlib, io, sys\n"
+                "from rllbec import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = cli.main(['capacity', '--k', '2', '--epsilon', '0.3'])\n"
+                "print(rc, 'locale' in sys.modules, cli._build_parser.cache_info().currsize)\n")
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "0 False 0\n"
+
+
 def readme_commands():
     """Each `rllbec ...` line of README.md's sh blocks as (argv, stdin); a
     `printf '...' |` before the command gives its stdin."""
@@ -361,3 +491,34 @@ class TestReadme:
         # the validate example's second string, 0001, breaks k = 2
         assert (code, err) == (1 if argv[0] == "validate" else 0, "")
         assert out
+
+
+# the argv shapes of the perfbench workloads, with seeded grid starts and
+# epsilons written out
+WORKLOAD_ARGV = [
+    ["sweep", "--curves", "fb0k,nc-dinf,cap-12", "--k", "1,2,4", "--d", "1,2,3",
+     "--grid", "0.012360679774997897:1:0.019752786404500042", "--format", "json"],
+    ["sweep", "--curves", "fb-ub-2inf", "--grid", "0.03090169943749474:1:0.048454915028125265",
+     "--format", "json"],
+    ["oracle", "--k", "3", "--epsilon", "0.13090169943749475", "--grid-n", "101"],
+    ["simulate", "--log2-messages", "62", "--k", "2", "--epsilon", "0.3", "--trials", "30",
+     "--delta", "optimal", "--seed", "1"],
+    ["simulate", "--log2-messages", "62", "--k", "2", "--epsilon", "0.3", "--trials", "30",
+     "--delta", "0.5", "--seed", "1"],
+]
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("argv, stdin", TestReadme.COMMANDS + [(a, "") for a in WORKLOAD_ARGV],
+                             ids=[argv[0] for argv, _ in TestReadme.COMMANDS]
+                             + [f"workload-{i}" for i in range(len(WORKLOAD_ARGV))])
+    def test_runs_without_argparse(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        want = run_cli(capsys, argv)
+
+        def no_parser():
+            raise AssertionError("argparse read a well-formed argv")
+
+        monkeypatch.setattr(cli, "_build_parser", no_parser)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run_cli(capsys, argv) == want
