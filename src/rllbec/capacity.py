@@ -40,6 +40,7 @@ class DomainError(ValueError):
 _MAX_STEPS = 200  # caps every Newton loop, which converges superlinearly in far fewer
 _MARGIN = 1e-14  # added to a Dinkelbach level to cover the rounding of the ratio
 _MAX_AXIS = 10 ** 7  # grid points per axis of the grid oracle
+_MAX_K = 10 ** 5  # longest zero run k: every solve, grid pass and codec step costs O(k)
 _LN2 = math.log(2.0)
 
 
@@ -75,13 +76,17 @@ def _eps_array(epsilons):
     return eps
 
 
-def _check_k(k, name="k"):
+def _check_k(k, name="k", limit=None):
+    """k as an int, if it is a positive integer of any numeric type and
+    not above limit."""
     try:
         ok = int(k) == k and k >= 1
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
         ok = False
     if not ok:
         raise DomainError(f"{name} must be a positive integer, got {k!r}")
+    if limit is not None and k > limit:
+        raise DomainError(f"{name} must be at most {limit}, got {k!r}")
     return int(k)
 
 
@@ -94,9 +99,9 @@ class SchemeParams:
     delta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         _check_eps(self.epsilon)
-        object.__setattr__(self, "k", _check_k(self.k))
+        object.__setattr__(self, "k", _check_k(self.k, limit=_MAX_K))
+        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         if self.k != len(self.delta):
             raise DomainError(f"k={self.k} but {len(self.delta)} parameters given")
         if any(not 0.0 <= d <= 1.0 for d in self.delta):
@@ -148,7 +153,7 @@ def delta_chain(delta_last, epsilon, k):
         Tuple (delta_0, ..., delta_{k-1}).
     """
     _check_eps(epsilon)
-    k = _check_k(k)
+    k = _check_k(k, limit=_MAX_K)
     if not 0.0 <= delta_last <= 1.0:
         raise DomainError(f"delta_last must lie in [0, 1], got {delta_last!r}")
     if delta_last == 1.0:
@@ -274,12 +279,14 @@ def _as_zero_run(name, eb, param):
     eb/(1 + eb^2). eb is a float or an array.
 
     Raises:
-        DomainError: k or d is not a positive integer.
+        DomainError: k or d is not a positive integer, or k > _MAX_K.
     """
     if name == "cap-12":
         return 1, eb / (1.0 + eb * eb), 1
-    n = _check_k(param, "k" if name == "fb0k" else "d")
-    return (n, eb, 1) if name == "fb0k" else (1, n * eb, n)
+    if name == "fb0k":
+        return _check_k(param, limit=_MAX_K), eb, 1
+    d = _check_k(param, "d")
+    return 1, d * eb, d
 
 
 def _solve(name, epsilon, param=None) -> CapacityResult:
@@ -321,7 +328,7 @@ def grid_argmax_rate(epsilon: float, k: int, grid_n: int):
         DomainError: grid_n outside [2, 1e7].
     """
     _check_eps(epsilon)
-    k, grid_n = _check_k(k), _check_k(grid_n, "grid_n")
+    k, grid_n = _check_k(k, limit=_MAX_K), _check_k(grid_n, "grid_n")
     if not 2 <= grid_n <= _MAX_AXIS:
         raise DomainError(f"need 2 to {_MAX_AXIS} grid points per axis, got {grid_n}")
     axis = np.linspace(0.0, 1.0, grid_n)
@@ -376,15 +383,20 @@ def fb_upper_2inf(epsilon):
     that still have an input choice. epsilon is a float, or an array of
     any shape, whose entries are solved together, each on its own.
 
-    Solved by _dinkelbach. N - R*D is concave; with w_i = (1-eps)*eps^i
-    and multiplier mu, node i's KKT point and value u_i are _stage_array(
-    2R + mu/w_i), the max of H2(x) - (2R + mu/w_i)*x. So N - R*D = sum_i
-    w_i*u_i + mu*sum_i x_i - R*(1 + eps + eps^2), and the step is R + F/D.
-    A node of weight 0 gets the shift +inf, so x_i = u_i = 0. mu is the
-    root of the excess mass g(mu) = sum_i x_i - 1, convex and decreasing
-    as every x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint)
-    by the Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i), which is
-    not taken where g <= 0.
+    Solved by _dinkelbach, started at the ratio of the feasible diagonal
+    point x = (1/3, 1/3, 1/3), (1-eps)*H2(1/3)/(1 + 2*(1-eps)/3) with
+    H2(1/3) = log2(3) - 2/3: at most the maximum, so the climb stays
+    below the root and its stop still certifies it. N - R*D is concave;
+    with w_i = (1-eps)*eps^i and multiplier mu, node i's KKT point and
+    value u_i are _stage_array(2R + mu/w_i), the max of H2(x) - (2R +
+    mu/w_i)*x. So N - R*D = sum_i w_i*u_i + mu*sum_i x_i - R*(1 + eps +
+    eps^2), and the step is R + F/D. A node of weight 0 gets the shift
+    +inf, set up once per solve, so x_i = u_i = 0. mu is the root of the
+    excess mass g(mu) = sum_i x_i - 1, convex and decreasing as every
+    x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint) by the
+    Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i), which is not
+    taken where g <= 0. That Newton computes only x_i = 1/(1 + 2^max(2R +
+    mu/w_i, 0)); u_i is evaluated once, at the converged mu.
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -397,25 +409,26 @@ def fb_upper_2inf(epsilon):
     eb = 1.0 - eps
     w = np.stack([eb, eb * eps, eb * eps * eps])
     base = 1.0 + eps + eps * eps
+    live = w > 0.0
+    divisor = np.where(live, w, 1.0)
+    dead = np.where(live, 0.0, np.inf)  # the shift of a weight-0 node
 
     def maximizer(level):
-        stages = []  # (u_i, x_i) at the last multiplier tried
-
         def newton(mu):
-            with np.errstate(over="ignore"):  # mu/w_i and x_i/w_i at a subnormal w_i
-                shift = np.divide(mu, w, out=np.full_like(w, np.inf), where=w > 0.0)
-                _, x = stages[:] = _stage_array(2.0 * level + shift)
-                spread = np.divide(x * (1.0 - x), w, out=np.zeros_like(w), where=w > 0.0)
+            x = 1.0 / (1.0 + np.exp2(np.maximum(2.0 * level + mu / divisor + dead, 0.0)))
             excess = x.sum(axis=0) - 1.0
-            step = np.divide(excess, _LN2 * spread.sum(axis=0), out=np.zeros_like(excess), where=excess > 0.0)
+            spread = (x * (1.0 - x) / divisor).sum(axis=0)
+            step = np.divide(excess, _LN2 * spread, out=np.zeros_like(excess), where=excess > 0.0)
             return excess, mu + step
 
         mu = _dinkelbach(newton, np.zeros_like(eps))
-        u, x = stages
+        u, x = _stage_array(2.0 * level + mu / divisor + dead)
         surplus = (w * u).sum(axis=0) + mu * x.sum(axis=0) - level * base
         return surplus, level + surplus / (base + 2.0 * (w * x).sum(axis=0))
 
-    value = _dinkelbach(maximizer, np.zeros_like(eps))
+    start = eb * (math.log2(3.0) - 2.0 / 3.0) / (1.0 + 2.0 * eb / 3.0)  # x = (1/3, 1/3, 1/3)
+    with np.errstate(over="ignore"):  # mu/w_i and x_i/w_i at a subnormal w_i
+        value = _dinkelbach(maximizer, start)
     return float(value[0]) if np.ndim(epsilon) == 0 else value
 
 

@@ -96,6 +96,10 @@ class TestSchemeParams:
             SchemeParams(0.5, 1, (1.4,))
         with pytest.raises(DomainError):
             SchemeParams(0.5, 0, ())
+        # k is capped at _MAX_K = 10**5
+        assert SchemeParams(0.3, 10 ** 5, (0.5,) * 10 ** 5).k == 10 ** 5
+        with pytest.raises(DomainError, match="at most 100000"):
+            SchemeParams(0.3, 10 ** 5 + 1, (0.5,) * (10 ** 5 + 1))
         # an integral k of another type is stored as an int
         for k in (2.0, np.int64(2)):
             p = SchemeParams(0.3, k, (0.4, 0.3))
@@ -228,11 +232,32 @@ class TestFeedbackCapacity:
         chain = delta_chain(delta[-1], eps, k)
         assert max(abs(a - b) for a, b in zip(chain, delta)) <= 1e-12
 
-    def test_domain(self):
+    def test_domain(self, monkeypatch):
         with pytest.raises(DomainError):
             feedback_capacity(-0.2, 1)
         with pytest.raises(DomainError):
             feedback_capacity(0.5, 0)
+        # k up to 10**5 passes the domain checks, one more fails them before
+        # any solve starts; d is not bounded
+        class Solving(Exception):
+            pass
+
+        def solving(*args):
+            raise Solving
+
+        monkeypatch.setattr(capacity, "_dinkelbach", solving)
+        solvers = (lambda k: feedback_capacity(0.3, k), lambda k: grid_argmax_rate(0.3, k, 2),
+                   lambda k: capacity_curve("fb0k", [0.3], k))
+        for solve in solvers:
+            with pytest.raises(Solving):
+                solve(10 ** 5)
+            with pytest.raises(DomainError, match="at most 100000"):
+                solve(10 ** 5 + 1)
+        with pytest.raises(Solving):
+            capacity_curve("nc-dinf", [0.3], 10 ** 6)
+        assert len(delta_chain(0.4, 0.3, 10 ** 5)) == 10 ** 5
+        with pytest.raises(DomainError, match="at most 100000"):
+            delta_chain(0.4, 0.3, 10 ** 5 + 1)
 
 
 def dual_mp(eps, k, level):
@@ -495,9 +520,10 @@ def fb_upper_mp(eps):
 
 class TestFbUpper2Inf:
     def test_matches_a_40_digit_kkt_solve(self):
-        # above EPS_STAR, where the simplex constraint is active; the point
-        # and the curve, all 22 entries in one call
-        grid = np.linspace(0.15, 0.99, 22)
+        # above EPS_STAR, where the simplex constraint is active, and around
+        # EPS_STAR, where the diagonal start of the solve meets the root; the
+        # point and the curve, all 25 entries in one call
+        grid = np.concatenate([np.linspace(0.15, 0.99, 22), EPS_STAR + np.array([-1e-9, 0.0, 1e-9])])
         for eps, value in zip(grid, capacity_curve("fb-ub-2inf", grid)):
             exact = float(fb_upper_mp(eps))
             assert abs(fb_upper_2inf(eps) - exact) <= 2.2e-16
@@ -582,6 +608,42 @@ class TestFbUpper2Inf:
 
     def test_full_erasure(self):
         assert fb_upper_2inf(1.0) == 0.0
+
+    @staticmethod
+    def diagonal_ratio(eps):
+        # N/D at x = (1/3, 1/3, 1/3), where H2(1/3) = log2(3) - 2/3
+        eb = 1.0 - eps
+        return eb * (math.log2(3.0) - 2.0 / 3.0) / (1.0 + 2.0 * eb / 3.0)
+
+    def test_diagonal_point_is_below_the_bound(self):
+        # the solve starts at this feasible ratio, so it may never exceed the
+        # result; at EPS_STAR the diagonal point is the maximizer itself
+        eps = np.concatenate([np.linspace(0.0, 1.0, 2001), EPS_STAR + np.array([-1e-9, 0.0, 1e-9])])
+        assert np.all(self.diagonal_ratio(eps) <= fb_upper_2inf(eps) + 2.2e-16)
+        assert fb_upper_2inf(EPS_STAR) == 0.5
+        assert abs(self.diagonal_ratio(EPS_STAR) - 0.5) <= 2 ** -53
+
+    def test_maximizer_calls(self, monkeypatch):
+        # every pass of both loops, the outer one on R and the inner one on mu
+        calls = []
+        dinkelbach = capacity._dinkelbach
+
+        def counting(maximizer, level=0.0):
+            return dinkelbach(lambda r: calls.append(r) or maximizer(r), level)
+
+        monkeypatch.setattr(capacity, "_dinkelbach", counting)
+        for eps, most in ((np.linspace(0.0, 1.0, 21), 36), (0.3, 20)):
+            calls.clear()
+            fb_upper_2inf(eps)
+            assert 0 < len(calls) <= most
+
+    def test_leaves_the_error_state_as_it_was(self):
+        before = np.geterr()
+        fb_upper_2inf(np.linspace(0.0, 1.0, 21))
+        assert np.geterr() == before
+        with pytest.raises(DomainError):
+            fb_upper_2inf(np.array([0.3, 1.5]))
+        assert np.geterr() == before
 
     @settings(max_examples=100, database=None, deadline=None)
     @given(st.floats(0.0, 1.0), st.lists(

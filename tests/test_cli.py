@@ -347,6 +347,43 @@ class TestValidate:
         assert "error" in err
 
 
+class TestKBound:
+    # k above 10**5 exits 2 before any solve starts; validate's k and
+    # nc-dinf's d are not bounded
+    ARGV = [
+        ["capacity", "--k", "{k}", "--epsilon", "0.3"],
+        ["sweep", "--k", "{k}", "--grid", "0:1:0.5"],
+        ["simulate", "--k", "{k}", "--epsilon", "0.3", "--log2-messages", "8", "--trials", "10"],
+        ["oracle", "--k", "{k}", "--epsilon", "0.3"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_above_the_bound(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.cap, "_dinkelbach", None)  # no solve may start
+        code, out, err = run_cli(capsys, [a.format(k=100001) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == "error: k must be at most 100000, got 100001\n"
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_at_the_bound(self, capsys, monkeypatch, argv):
+        class Solving(Exception):
+            pass
+
+        def solving(*args):
+            raise Solving
+
+        monkeypatch.setattr(cli.cap, "_dinkelbach", solving)
+        with pytest.raises(Solving):
+            cli.main([a.format(k=100000) for a in argv])
+
+    def test_validate_and_d_are_unbounded(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0001\n"))
+        assert run_cli(capsys, ["validate", "--k", "1000000"]) == (0, "ok\n", "")
+        code, out, _ = run_cli(capsys, ["sweep", "--curves", "nc-dinf", "--d", "1000000",
+                                        "--grid", "0:1:0.5"])
+        assert code == 0 and len(out.splitlines()) == 4
+
+
 # every command and its flags, in help order
 FLAGS = {
     "capacity": ["--k", "--epsilon"],

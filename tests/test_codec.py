@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rllbec import (
     TILDE0,
@@ -317,3 +319,47 @@ class TestConstraintSafety:
         for delta in deltas:
             for n in (2, 3, 5, 17):
                 walk_all_outputs(k, n, delta, depth=8)
+
+
+# delta_j in [0, 1/2], its ends and the smallest subnormal drawn on purpose
+DELTA_J = st.one_of(st.sampled_from([0.0, 0.5, 2.0 ** -1074]), st.floats(0.0, 0.5))
+
+
+class TestSessionProperties:
+    MAX_USES = 200  # a tiny delta_0 with 2**62 messages would take about 2**62 uses
+
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.lists(DELTA_J, min_size=1, max_size=6), st.integers(1, 62), st.integers(0, 2 ** 62),
+           st.integers(0, 2 ** 62), st.lists(st.booleans(), max_size=64))
+    def test_array_step_scalar_session_decoding_and_safety(self, delta, log2_n, n, m, pattern):
+        # k = len(delta), n in [2, 2**log2_n] and m in [0, n); the channel
+        # erases the uses its pattern marks, then delivers every use after
+        # the pattern; the receiver replays the outputs alone
+        k = len(delta)
+        params = SchemeParams(0.5, k, delta)
+        n = 2 + n % (2 ** log2_n - 1)
+        m %= n
+        coder = ArrayCodec(params)
+        sess = SchemeSession.start(params, n)
+        labels, lo, hi = np.array([sess.label]), np.array([0]), np.array([n])
+        x_seq, sizes = [], []
+        while sess.live.size > 1 and len(x_seq) < self.MAX_USES:
+            sizes.append(sess.live.size)
+            erased = len(x_seq) < len(pattern) and pattern[len(x_seq)]
+            x, labels, lo, hi = coder.step(labels, lo, hi, np.array([m]), np.array([erased]))
+            xi = input_bit(sess, m)
+            y = None if erased else xi
+            sess.live = update_live(sess.live, sess.label, y, params)
+            sess.label = next_label(sess.label, y, k)
+            assert (x[0], labels[0], lo[0], hi[0]) == (xi, sess.label, sess.live.lo, sess.live.hi)
+            assert m in sess.live
+            x_seq.append(xi)
+        if sess.live.size == 1:
+            assert sess.live.lo == m
+        assert first_violation(RllConstraint(0, k), x_seq) is None
+        # at every live size met, the '0' prefix of each L(j) and the '0'
+        # suffix of Tilde0 fit side by side (zero_counts equals partition)
+        sizes = np.array(sizes, dtype=np.int64)
+        zc = coder.zero_counts(np.repeat(np.arange(k + 2), sizes.size), np.tile(sizes, k + 2))
+        zc = zc.reshape(k + 2, sizes.size)
+        assert np.all(zc[label_of(0):label_of(k)] + zc[TILDE0] <= sizes)

@@ -88,7 +88,7 @@ class TestBecChannel:
         blocked = BecChannel(1.0, seed=1)
         assert [blocked(1), blocked(0)] == [None, None]
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
         for eps in (1.5, -0.1, float("nan")):
             with pytest.raises(DomainError):
                 BecChannel(eps, seed=0)
@@ -197,7 +197,7 @@ class TestRunFeedbackSim:
         assert rep.label_histogram["l2"] == 0
         assert rep.label_histogram["l0"] + rep.label_histogram["~l0"] == rep.total_uses
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
         with pytest.raises(DomainError):
             run_feedback_sim(1, 0.0, 63, 1)
         with pytest.raises(DomainError):
@@ -220,6 +220,21 @@ class TestRunFeedbackSim:
         for max_uses in (-3, 2.5, "10"):
             with pytest.raises(DomainError, match="max_uses"):
                 run_feedback_sim(1, 0.0, 8, 1, max_uses=max_uses)
+        # k up to 10**5 passes the domain checks, one more fails them before
+        # any trial runs
+        class Building(Exception):
+            pass
+
+        def building(params):
+            raise Building
+
+        monkeypatch.setattr(sim.codec, "ArrayCodec", building)
+        with pytest.raises(Building):
+            run_feedback_sim(10 ** 5, 0.3, 8, 1, delta=(0.5,) * 10 ** 5, max_uses=10)
+        with pytest.raises(DomainError, match="at most 100000"):
+            run_feedback_sim(10 ** 5 + 1, 0.3, 8, 1, delta=(0.5,) * (10 ** 5 + 1), max_uses=10)
+        with pytest.raises(DomainError, match="at most 100000"):
+            run_feedback_sim(10 ** 5 + 1, 0.3, 8, 1)
 
     @pytest.mark.parametrize("seed", [None, 1.5, -1])
     def test_rejects_bad_seeds(self, seed, monkeypatch):
@@ -348,7 +363,7 @@ class TestRenewalRate:
         var = eps / (1 - eps) ** 2 + d * d * x * (1 - x)
         assert abs(mean_cost - et) <= 3 * math.sqrt(var / n)
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
         with pytest.raises(DomainError):
             renewal_rate_d_inf(1.0, 1, 0.3, 100, seed=0)
         with pytest.raises(DomainError):
