@@ -42,11 +42,7 @@ from .constraint import (
     next_state,
     validate_sequence,
 )
-from .markov import (
-    FiniteChain,
-    build_labeling_chain,
-    stationary,
-)
+from .markov import build_labeling_chain, stationary
 from .sim import (
     BecChannel,
     SimReport,
@@ -66,7 +62,7 @@ __all__ = [
     "label_of", "next_label", "partition", "transmit_message", "update_live",
     "INF", "IllegalEdge", "RllConstraint", "first_violation",
     "initial_state", "next_state", "validate_sequence",
-    "FiniteChain", "build_labeling_chain", "stationary",
+    "build_labeling_chain", "stationary",
     "BecChannel", "SimReport", "label_occupancy_check", "run_feedback_sim",
     "__version__",
 ]

@@ -25,13 +25,15 @@ specification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import DomainError, SchemeParams
+from .capacity import DomainError, SchemeParams, rate
 
 TILDE0 = 0
+_MAX_EXPECTED_USES = 1e6  # per transmission, for one without a use cap
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -164,6 +166,17 @@ def _check_safe(params: SchemeParams):
         raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
 
 
+def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses):
+    """Without a use cap, the rate must promise at most 1e6 expected uses
+    per transmission; a zero rate (epsilon = 1, or delta_0 = 0 without
+    erasures) never would."""
+    if max_uses is None:
+        r = rate(params)
+        if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
+            raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
+                              f"per transmission; set max_uses")
+
+
 @dataclass
 class SchemeSession:
     """Mutable state of one transmission: parameters, rule, live interval.
@@ -189,7 +202,10 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
 
     Args:
         channel: callable bit -> output (0, 1, or None for erasure).
-        max_uses: optional cap on channel uses.
+        max_uses: optional cap on channel uses. Without one, the rate
+            must promise at most 1e6 expected uses over a uniformly drawn
+            message; a given m, such as n_messages - 1 under a small
+            delta_0, can take many more.
         transcript: optional list collecting (x, y) pairs per use.
 
     Returns:
@@ -200,12 +216,13 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         MessageOutsideLiveSet: m outside [0, n_messages).
         UseBudgetExceeded: max_uses hit before the interval is a singleton.
         DomainError: some delta_j > 1/2, which would let the '0' blocks
-            of L(j) and Tilde0 overlap.
+            of L(j) and Tilde0 overlap, or no cap where one is needed.
     """
     session = SchemeSession.start(params, n_messages)
     if m not in session.live:
         raise MessageOutsideLiveSet(f"message {m} not in [0, {n_messages})")
     _check_safe(params)
+    _check_use_bound(params, math.log2(n_messages), max_uses)
     x_seq = []
     while session.live.size > 1:
         if max_uses is not None and session.uses >= max_uses:

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity, rate
-from .markov import build_labeling_chain, stationary
+from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity
+from .markov import stationary
 
 _CHUNK = 4096  # trials stepped together, which bounds the memory for any count
-_MAX_EXPECTED_USES = 1e6  # per trial, for runs without a use cap
 
 
 class BecChannel:
@@ -274,11 +273,7 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
     k = params.k
-    if max_uses is None:
-        r = rate(params)
-        if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
-            raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
-                              f"per trial; set max_uses")
+    codec._check_use_bound(params, log2_messages, max_uses)
     coder = codec.ArrayCodec(params)
     uses = np.zeros(trials, dtype=np.int64)
     delivered = np.zeros(trials, dtype=bool)
@@ -313,14 +308,14 @@ def label_occupancy_check(report: SimReport, epsilon: float, delta) -> float:
     """Sup distance between empirical rule frequencies and the chain law.
 
     The reference law is the stationary distribution of the labeling
-    chain started from L(0), matching how every session begins.
+    chain, which is unique: every rule leads back to L(0).
     """
     delta = tuple(float(d) for d in delta)
     k = len(delta)
     names = codec.label_names(k)
     if set(report.label_histogram) != set(names):
         raise ValueError("report histogram does not match this k")
-    pi = stationary(build_labeling_chain(epsilon, delta), start=codec.label_of(0))
+    pi = stationary(epsilon, delta)
     total = sum(report.label_histogram.values())
     if total == 0:
         raise ValueError("report contains no channel uses")

@@ -1,9 +1,11 @@
 """Reference computations that only the tests use.
 
 Each is an independent route to a number the package computes another
-way: the constraint graph's Perron root, the zero-run chain and its
-closed-form law, a Monte Carlo of the renewal process behind
-nc_capacity_d_inf, the text of `rllbec sweep` built one row dict at a
+way: the constraint graph's Perron root, the stationary law of any
+finite chain, by least squares and, for a chain with one closed class,
+exactly in rationals (the reference for the labeling chain's closed
+form), the zero-run chain and its closed-form law, a Monte Carlo of the renewal
+process behind nc_capacity_d_inf, the text of `rllbec sweep` built one row dict at a
 time, and the CLI's argparse tree built one add_argument call at a time.
 """
 
@@ -12,10 +14,12 @@ import csv
 import functools
 import io
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from rllbec import FiniteChain, RllConstraint, SchemeParams, capacity_curve
+from rllbec import RllConstraint, SchemeParams, capacity_curve
 from rllbec import capacity as cap
 from rllbec.capacity import DomainError, _check_eps, _check_k, h2
 from rllbec.cli import cmd_capacity, cmd_oracle, cmd_simulate, cmd_sweep, cmd_validate
@@ -41,6 +45,93 @@ def noiseless_capacity(c: RllConstraint) -> float:
     and the largest eigenvalue of the non-negative matrix.
     """
     return float(np.log2(np.linalg.eigvals(adjacency(c)).real.max()))
+
+
+@dataclass(frozen=True)
+class FiniteChain:
+    """A row-stochastic square transition matrix over states 0..n-1."""
+
+    P: np.ndarray
+
+    def __post_init__(self):
+        P = np.asarray(self.P, dtype=float)
+        object.__setattr__(self, "P", P)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise ValueError(f"transition matrix must be square, got shape {P.shape}")
+        if np.any(P < -1e-15):
+            raise ValueError("negative transition probability")
+        rows = P.sum(axis=1)
+        if np.max(np.abs(rows - 1.0)) > 1e-12:
+            raise ValueError(f"rows must sum to 1, worst deviation {np.max(np.abs(rows - 1.0)):.3e}")
+
+    @property
+    def n(self) -> int:
+        return self.P.shape[0]
+
+
+def stationary(chain: FiniteChain, start: int = 0) -> np.ndarray:
+    """Stationary distribution of the chain started from `start`.
+
+    The states reachable from `start` form a closed set; the law solves
+    pi (P_r - I) = 0, sum(pi) = 1 on that set by one least-squares solve
+    of the stacked system, and states outside it carry zero mass.
+
+    Raises:
+        ValueError: `start` is out of range, or no unique law exists
+            because two closed classes are reachable from `start`.
+    """
+    P = chain.P
+    n = chain.n
+    if not 0 <= start < n:
+        raise ValueError(f"start state {start} out of range")
+    reach = np.zeros(n, dtype=bool)
+    reach[start] = True
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in np.nonzero(P[s] > 0.0)[0]:
+                if not reach[t]:
+                    reach[t] = True
+                    nxt.append(int(t))
+        frontier = nxt
+    idx = np.flatnonzero(reach)
+    m = idx.size
+    a = np.vstack([P[np.ix_(idx, idx)].T - np.eye(m), np.ones((1, m))])
+    b = np.zeros(m + 1)
+    b[m] = 1.0
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < m:
+        raise ValueError(f"no unique stationary law from state {start}: "
+                         f"{m - rank + 1} closed classes are reachable")
+    pi = np.zeros(n)
+    pi[idx] = x
+    return pi
+
+
+def stationary_exact(P) -> np.ndarray:
+    """Stationary law of the float matrix P, solved exactly and rounded once.
+
+    Each row is rescaled in rationals to sum to 1. The law solves
+    pi (P - I) = 0 with its last equation replaced by sum(pi) = 1, by
+    Gaussian elimination over fractions; that system is nonsingular
+    exactly when P has one closed class, which the caller must ensure.
+    Unlike `stationary`, no rounding error enters before the final
+    conversion to float, subnormal entries included.
+    """
+    rows = [[Fraction(float(x)) for x in row] for row in P]
+    rows = [[x / sum(row) for x in row] for row in rows]
+    n = len(rows)
+    m = [[rows[j][i] - (i == j) for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    m.append([Fraction(1)] * (n + 1))
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return np.array([float(m[i][n] / m[i][i]) for i in range(n)])
 
 
 def _check_eps_delta(epsilon, delta):

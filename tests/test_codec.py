@@ -259,6 +259,22 @@ class TestTransmit:
         with pytest.raises(UseBudgetExceeded):
             transmit_message(0, 16, params_k1(eps=1.0), lambda x: None, max_uses=7)
 
+    def test_refuses_a_session_without_a_cap_that_needs_one(self):
+        # a subnormal delta_0 makes every L(0) '0' block a single message,
+        # so without erasures the last of n messages takes n - 1 uses
+        p, n, sent = SchemeParams(0.0, 1, (2.0 ** -1074,)), 2 ** 62, []
+
+        def unused(x):
+            raise AssertionError("the session started without a cap")
+
+        with pytest.raises(DomainError):
+            transmit_message(n - 1, n, p, unused)
+        with pytest.raises(UseBudgetExceeded):
+            transmit_message(n - 1, n, p, lambda x: sent.append(x) or x, max_uses=7)
+        assert len(sent) == 7
+        with pytest.raises(DomainError):  # rate 0: every use is erased
+            transmit_message(0, 16, params_k1(eps=1.0), lambda x: None)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(MessageOutsideLiveSet):
             transmit_message(5, 4, params_k1(), lambda x: x)
