@@ -32,6 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["CapacityResult", "DomainError", "SchemeParams", "capacity_12",
+           "capacity_curve", "delta_chain", "fb_upper_2inf", "feedback_capacity",
+           "grid_argmax_rate", "grid_max_rate", "h2", "nc_capacity_d_inf", "rate",
+           "stationarity_residual"]
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a formula."""

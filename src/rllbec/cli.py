@@ -226,19 +226,17 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "Monte Carlo transmissions of the coding scheme", {
         "--k": dict(type=int, required=True),
         "--epsilon": dict(type=float, required=True),
-        "--log2-messages": dict(type=int, required=True, dest="log2_messages"),
+        "--log2-messages": dict(type=int, required=True),
         "--trials": dict(type=int, required=True),
         "--seed": dict(type=int, default=0),
         "--delta": dict(default="optimal", help="'optimal' or comma-separated values"),
-        "--max-uses": dict(type=int, default=None, dest="max_uses",
-                           help="per-trial channel-use cap (required above 1e6 expected uses, "
-                                "as at --epsilon 1)"),
+        "--max-uses": dict(type=int, help="per-trial channel-use cap (required above 1e6 "
+                                          "expected uses, as at --epsilon 1)"),
     }),
     "oracle": (cmd_oracle, "exact grid maximum vs the solver and its upper bound", {
         "--k": dict(type=int, required=True),
         "--epsilon": dict(type=float, required=True),
-        "--grid-n": dict(type=int, default=201, dest="grid_n",
-                         help="grid points per axis, 2 to 1e7"),
+        "--grid-n": dict(type=int, default=201, help="grid points per axis, 2 to 1e7"),
     }),
     "validate": (cmd_validate, "check bit strings on stdin against a (d, k) constraint", {
         "--d": dict(type=int, default=0),
@@ -284,7 +282,7 @@ def _parse(argv) -> argparse.Namespace | None:
     if any(kw.get("required") and flag not in given for flag, kw in flags.items()):
         return None
     return argparse.Namespace(command=argv[0], **{
-        kw.get("dest", flag[2:].replace("-", "_")): given.get(flag, kw.get("default"))
+        flag[2:].replace("-", "_"): given.get(flag, kw.get("default"))
         for flag, kw in flags.items()}, func=func)
 
 

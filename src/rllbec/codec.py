@@ -32,6 +32,11 @@ import numpy as np
 
 from .capacity import DomainError, SchemeParams, rate
 
+__all__ = ["TILDE0", "ArrayCodec", "EmptySet", "MessageInterval",
+           "MessageOutsideLiveSet", "SchemeSession", "UseBudgetExceeded", "input_bit",
+           "label_names", "label_of", "next_label", "partition", "transmit_message",
+           "update_live"]
+
 TILDE0 = 0
 _MAX_EXPECTED_USES = 1e6  # per transmission, for one without a use cap
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -179,10 +184,9 @@ def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses):
 
 @dataclass
 class SchemeSession:
-    """Mutable state of one transmission: parameters, rule, live interval.
-
-    Single-threaded by design; independent sessions may run in parallel.
-    """
+    """Mutable state of one transmission, which transmit_message steps:
+    the parameters, the current labeling rule, the live interval and the
+    channel uses so far."""
 
     params: SchemeParams
     label: int

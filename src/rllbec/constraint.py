@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["INF", "IllegalEdge", "RllConstraint", "first_violation", "initial_state",
+           "next_state", "validate_sequence"]
+
 INF = math.inf
 
 

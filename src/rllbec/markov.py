@@ -12,6 +12,8 @@ import numpy as np
 from . import codec
 from .capacity import SchemeParams
 
+__all__ = ["build_labeling_chain", "stationary"]
+
 
 def _checked_delta(epsilon, delta) -> tuple:
     delta = tuple(delta)

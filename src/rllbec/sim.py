@@ -23,6 +23,8 @@ from . import codec
 from .capacity import DomainError, SchemeParams, _check_eps, _check_k, feedback_capacity
 from .markov import stationary
 
+__all__ = ["BecChannel", "SimReport", "label_occupancy_check", "run_feedback_sim"]
+
 _CHUNK = 4096  # trials stepped together, which bounds the memory for any count
 
 

@@ -285,6 +285,13 @@ class TestCertificate:
             assert 0.0 < res.upper - res.value <= 1e-12
             assert dual_mp(eps, k, res.upper) < 0
 
+    @pytest.mark.parametrize("k", [1000, 10 ** 5])
+    def test_upper_bound_holds_at_large_k(self, k):
+        # the 50-digit check above stops at k = 256; k goes to 10^5
+        for eps in (0.0, 0.3, 0.9):
+            res = feedback_capacity(eps, k)
+            assert capacity._zero_run(1.0 - eps, k, res.upper, _stage)[0] < 0
+
     @settings(max_examples=100, database=None, deadline=None)
     @given(st.floats(0.0, 1.0), st.lists(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=8))
