@@ -218,7 +218,7 @@ def _dinkelbach(maximizer, level=0.0):
     for _ in range(_MAX_STEPS):
         rising = (surplus > 0.0) & (r > level)
         if isinstance(rising, np.ndarray):
-            if not rising.any():
+            if not np.count_nonzero(rising):
                 break
             level = np.where(rising, r, level)
         elif rising:
@@ -284,14 +284,18 @@ def _as_zero_run(name, eb, param):
     eb/(1 + eb^2). eb is a float or an array.
 
     Raises:
-        DomainError: k or d is not a positive integer, or k > _MAX_K.
+        DomainError: k or d is not a positive integer, k > _MAX_K, or d
+            is too large for a float.
     """
     if name == "cap-12":
         return 1, eb / (1.0 + eb * eb), 1
     if name == "fb0k":
         return _check_k(param, limit=_MAX_K), eb, 1
     d = _check_k(param, "d")
-    return 1, d * eb, d
+    try:
+        return 1, float(d) * eb, d
+    except OverflowError:
+        raise DomainError(f"d is too large for a float, got {d!r}") from None
 
 
 def _solve(name, epsilon, param=None) -> CapacityResult:
@@ -398,10 +402,15 @@ def fb_upper_2inf(epsilon):
     eps^2), and the step is R + F/D. A node of weight 0 gets the shift
     +inf, set up once per solve, so x_i = u_i = 0. mu is the root of the
     excess mass g(mu) = sum_i x_i - 1, convex and decreasing as every
-    x_i <= 1/2, found from mu = 0 (g <= 0 there: no constraint) by the
+    x_i <= 1/2 (mu = 0 where g(0) <= 0: no constraint), found by the
     Newton step mu + g/(ln2 * sum_i x_i*(1 - x_i)/w_i), which is not
-    taken where g <= 0. That Newton computes only x_i = 1/(1 + 2^max(2R +
-    mu/w_i, 0)); u_i is evaluated once, at the converged mu.
+    taken where g <= 0. The first level starts it at mu = 0; each later
+    level R starts it at max(mu' - 2*(R - R')*(1-eps), 0) from the root
+    mu' of the level R' <= R before. Unclamped, every 2R + mu/w_i is at
+    most its value at that root, as w_i <= 1-eps, so no x_i falls and
+    neither does g: the climb starts left of the new root, as from 0. The
+    Newton computes only x_i = 1/(1 + 2^max(2R + mu/w_i, 0)); u_i is
+    evaluated once per level, at the converged mu.
 
     The bound equals nc_capacity_d_inf(eps, 2) up to the threshold
     eps* = 1 - 1/log2(9/4) ~ 0.145244 and lies strictly below it above.
@@ -412,27 +421,34 @@ def fb_upper_2inf(epsilon):
     """
     eps = _eps_array(epsilon)
     eb = 1.0 - eps
-    w = np.stack([eb, eb * eps, eb * eps * eps])
+    w = np.array([eb, eb * eps, eb * eps * eps])
     base = 1.0 + eps + eps * eps
     live = w > 0.0
     divisor = np.where(live, w, 1.0)
     dead = np.where(live, 0.0, np.inf)  # the shift of a weight-0 node
+    start = eb * (math.log2(3.0) - 2.0 / 3.0) / (1.0 + 2.0 * eb / 3.0)  # x = (1/3, 1/3, 1/3)
+    mu_prev, level_prev = np.zeros_like(eps), start  # the last multiplier root and its level
 
     def maximizer(level):
+        nonlocal mu_prev, level_prev
+        shift = 2.0 * level + dead
+
         def newton(mu):
-            x = 1.0 / (1.0 + np.exp2(np.maximum(2.0 * level + mu / divisor + dead, 0.0)))
-            excess = x.sum(axis=0) - 1.0
-            spread = (x * (1.0 - x) / divisor).sum(axis=0)
-            step = np.divide(excess, _LN2 * spread, out=np.zeros_like(excess), where=excess > 0.0)
-            return excess, mu + step
+            x = 1.0 / (1.0 + np.exp2(np.maximum(shift + mu / divisor, 0.0)))
+            excess = x[0] + x[1] + x[2] - 1.0
+            spread = x * (1.0 - x) / divisor
+            return excess, mu + excess / (_LN2 * (spread[0] + spread[1] + spread[2]))
 
-        mu = _dinkelbach(newton, np.zeros_like(eps))
-        u, x = _stage_array(2.0 * level + mu / divisor + dead)
-        surplus = (w * u).sum(axis=0) + mu * x.sum(axis=0) - level * base
-        return surplus, level + surplus / (base + 2.0 * (w * x).sum(axis=0))
+        mu = _dinkelbach(newton, np.maximum(mu_prev - 2.0 * (level - level_prev) * eb, 0.0))
+        mu_prev, level_prev = mu, level
+        u, x = _stage_array(shift + mu / divisor)
+        wu, wx = w * u, w * x
+        surplus = wu[0] + wu[1] + wu[2] + mu * (x[0] + x[1] + x[2]) - level * base
+        return surplus, level + surplus / (base + 2.0 * (wx[0] + wx[1] + wx[2]))
 
-    start = eb * (math.log2(3.0) - 2.0 / 3.0) / (1.0 + 2.0 * eb / 3.0)  # x = (1/3, 1/3, 1/3)
-    with np.errstate(over="ignore"):  # mu/w_i and x_i/w_i at a subnormal w_i
+    # mu/w_i and x_i/w_i overflow at a subnormal w_i; at eps = 1 every
+    # x_i(1 - x_i)/w_i is 0, and the Newton step is -inf, not taken
+    with np.errstate(over="ignore", divide="ignore"):
         value = _dinkelbach(maximizer, start)
     return float(value[0]) if np.ndim(epsilon) == 0 else value
 

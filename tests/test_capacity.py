@@ -238,7 +238,7 @@ class TestFeedbackCapacity:
         with pytest.raises(DomainError):
             feedback_capacity(0.5, 0)
         # k up to 10**5 passes the domain checks, one more fails them before
-        # any solve starts; d is not bounded
+        # any solve starts; d is bounded only by the float range
         class Solving(Exception):
             pass
 
@@ -489,6 +489,14 @@ class TestNcCapacityDInf:
             nc_capacity_d_inf(0.5, 0)
         with pytest.raises(DomainError):
             nc_capacity_d_inf(2.0, 1)
+        # d * (1 - eps) once raised OverflowError; the largest d that rounds
+        # to a finite float still solves
+        for d in (10 ** 400, 2 ** 1024 - 2 ** 970):
+            with pytest.raises(DomainError, match="too large for a float"):
+                nc_capacity_d_inf(0.3, d)
+            with pytest.raises(DomainError, match="too large for a float"):
+                capacity_curve("nc-dinf", [0.0, 0.3, 1.0], d)
+        assert np.all(np.isfinite(capacity_curve("nc-dinf", [0.0, 0.3, 1.0], 2 ** 1024 - 2 ** 970 - 1)))
 
 
 def fb_upper_mp(eps):
@@ -643,6 +651,62 @@ class TestFbUpper2Inf:
             calls.clear()
             fb_upper_2inf(eps)
             assert 0 < len(calls) <= most
+
+    def test_newton_calls(self, monkeypatch):
+        # each level's multiplier Newton starts at the last level's root;
+        # restarted at mu = 0 every level, it takes 28 and 30 calls
+        calls, depth = [], []
+        dinkelbach = capacity._dinkelbach
+
+        def counting(maximizer, level=0.0):
+            inner = bool(depth)
+            depth.append(None)
+            try:
+                return dinkelbach(lambda r: (inner and calls.append(r)) or maximizer(r), level)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(capacity, "_dinkelbach", counting)
+        for n, most in ((21, 18), (1001, 23)):
+            calls.clear()
+            fb_upper_2inf(np.linspace(0.0, 1.0, n))
+            assert 0 < len(calls) <= most
+
+    @settings(max_examples=300, database=None, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.0 ** -1022, EPS_STAR, 1.0 - 2.0 ** -53, 1.0]),
+                     st.floats(0.0, 1.0)),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_warm_start_is_left_of_the_multiplier_root(self, eps, s, t):
+        # from the root mu_prev at level R_prev, the multiplier Newton at R >=
+        # R_prev starts at mu_s = max(mu_prev - 2*(R - R_prev)*(1-eps), 0).
+        # Unclamped, every a_i = 2R + mu_s/w_i is at most its value at the
+        # root, as w_i <= 1-eps, so the excess sum_i x_i - 1 is no smaller and
+        # the climb starts left of the new root; mu_s = 0 is the cold start.
+        # The outer solve is replaced by calls at its start and at two levels
+        # between the start and the value; the multiplier solves are its own.
+        value = fb_upper_2inf(eps)
+        solves = []  # (newton, start, root) of each multiplier solve
+        dinkelbach = capacity._dinkelbach
+
+        def spy(solve, level=0.0):
+            if spy.inner:
+                root = dinkelbach(solve, level)
+                solves.append((solve, level, root))
+                return root
+            spy.inner = True
+            rise = max(value - float(level[0]), 0.0)
+            for r in (0.0, min(s, t), max(s, t)):
+                solve(level + r * rise)
+            return np.full(1, value)
+
+        spy.inner = False
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", divide="ignore"):
+            mp.setattr(capacity, "_dinkelbach", spy)
+            fb_upper_2inf(eps)
+            assert len(solves) == 3 and solves[0][1] == 0.0
+            for (newton_prev, _, mu_prev), (newton, mu_s, _) in zip(solves, solves[1:]):
+                if mu_s[0] > 0.0:
+                    assert newton(mu_s)[0][0] >= newton_prev(mu_prev)[0][0] - 4 * 2.0 ** -52
 
     def test_leaves_the_error_state_as_it_was(self):
         before = np.geterr()

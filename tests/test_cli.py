@@ -348,8 +348,8 @@ class TestValidate:
 
 
 class TestKBound:
-    # k above 10**5 exits 2 before any solve starts; validate's k and
-    # nc-dinf's d are not bounded
+    # k above 10**5 exits 2 before any solve starts; validate's k is not
+    # bounded, and nc-dinf's d only by the float range
     ARGV = [
         ["capacity", "--k", "{k}", "--epsilon", "0.3"],
         ["sweep", "--k", "{k}", "--grid", "0:1:0.5"],
@@ -382,6 +382,13 @@ class TestKBound:
         code, out, _ = run_cli(capsys, ["sweep", "--curves", "nc-dinf", "--d", "1000000",
                                         "--grid", "0:1:0.5"])
         assert code == 0 and len(out.splitlines()) == 4
+
+    def test_d_too_large_for_a_float(self, capsys):
+        # a 401-digit d once escaped as an OverflowError traceback, exit 1
+        d = str(10 ** 400)
+        code, out, err = run_cli(capsys, ["sweep", "--curves", "nc-dinf", "--d", d, "--grid", "0:1:0.5"])
+        assert (code, out) == (2, "")
+        assert err == f"error: d is too large for a float, got {d}\n"
 
 
 # every command and its flags, in help order
