@@ -20,10 +20,10 @@ N - R*D with one stage per node, at the shift that the constraint's
 multiplier adds; the same loop finds that multiplier.
 
 The loop and the recursions run on a float, for the point solvers, or
-on an array with one entry per epsilon, for capacity_curve; only the
-stage primitive differs (_stage with math, _stage_array with numpy).
-Each array entry stops on its own. fb_upper_2inf runs on arrays only.
-"""
+on a stack of arrays by epsilon, one row per zero-run curve, each joining
+at its own k (_zero_run_stack). Only the stage primitive differs (_stage
+with math, _stage_array with numpy). Each array entry stops on its own.
+fb_upper_2inf runs on arrays only."""
 
 from __future__ import annotations
 
@@ -33,20 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["CapacityResult", "DomainError", "SchemeParams", "capacity_12",
-           "capacity_curve", "delta_chain", "fb_upper_2inf", "feedback_capacity",
-           "grid_argmax_rate", "grid_max_rate", "h2", "nc_capacity_d_inf", "rate",
-           "stationarity_residual"]
+           "capacity_curve", "capacity_curves", "delta_chain", "fb_upper_2inf",
+           "feedback_capacity", "grid_argmax_rate", "grid_max_rate", "h2",
+           "nc_capacity_d_inf", "rate", "stationarity_residual"]
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a formula."""
 
 
-_MAX_STEPS = 200  # caps every Newton loop, which converges superlinearly in far fewer
+_MAX_STEPS = 1000  # caps every Newton loop; the longest, nc-dinf at the largest float d, takes 709
 _MARGIN = 1e-14  # added to a Dinkelbach level to cover the rounding of the ratio
 _MAX_AXIS = 10 ** 7  # grid points per axis of the grid oracle
 _MAX_K = 10 ** 5  # longest zero run k: every solve, grid pass and codec step costs O(k)
 _LN2 = math.log(2.0)
+_LOG2E = 1.0 / _LN2
 
 
 def h2(p):
@@ -240,7 +241,8 @@ def _stage(a):
     """
     b = a if a > 0.0 else 0.0
     x = 1.0 / (1.0 + 2.0 ** b)
-    return math.log2(1.0 + 2.0 ** -b) + (b - a) * x, x
+    # as np.logaddexp2(0, -b) computes it: log2(1 + 2^-b) would lose 2^-b
+    return math.log1p(2.0 ** -b) * _LOG2E + (b - a) * x, x
 
 
 def _stage_array(a):
@@ -472,31 +474,68 @@ def capacity_12(epsilon: float) -> CapacityResult:
 
 
 CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
+_BLOCK = 4096  # cells solved in one stack; larger stacks ran slower than one column at a time
+
+
+def _zero_run_stack(ks, weights):
+    """A maximizer for _dinkelbach, and its start, whose row j is _zero_run
+    at ks[j] (descending) and weights[j] with numpy stages. Stage i runs on
+    the rows with k > i only; each row joins at its own k with u = t = 0,
+    as when solved alone. A row whose level has not moved since the last
+    call has stopped for good: it keeps its (F, r) and is not solved again."""
+    weight, surplus, r, last = np.array(weights), None, None, None
+
+    def maximizer(level):
+        nonlocal surplus, r, last
+        rows = None if last is None or len(level) == 1 else np.flatnonzero((level != last).any(axis=1))
+        every, last = rows is None or len(rows) == len(level), level
+        sub, w, k = (level, weight, ks) if every else (level[rows], weight[rows], [ks[j] for j in rows])
+        u, t, p = 0.0, 0.0, 0  # p rows in the recursion
+        for i in range(k[0] - 1, -1, -1):
+            if p < len(k) and k[p] > i:  # the rows of k = i + 1 join
+                q = p + k.count(i + 1)
+                if p:
+                    u, t = (np.concatenate((v, np.zeros((q - p,) + sub.shape[1:]))) for v in (u, t))
+                p, sub_p, w_p = (q, sub, w) if q == len(sub) else (q, sub[:q], w[:q])
+            u, x = _stage_array(sub_p - w_p * u)
+            t = w_p * x * (1.0 + t)
+        value = w * u - sub
+        if every:
+            surplus, r = value, sub + value / (1.0 + t)
+        else:
+            surplus[rows], r[rows] = value, sub + value / (1.0 + t)
+        return surplus, r
+    return maximizer, np.zeros(weight.shape)
+
+
+def capacity_curves(columns, epsilons) -> list:
+    """capacity_curve(name, epsilons, param) of each (name, param) in
+    columns; a bad name, epsilon, k or d raises before anything is solved.
+    The fb0k, nc-dinf and cap-12 columns are stacked by k descending, in
+    blocks of at most _BLOCK cells (at least one row), each solved by one
+    _dinkelbach (_zero_run_stack). Each entry is within a few ulps of its
+    point solver and does not depend on the others; the memory held is a
+    few arrays of a block's size."""
+    for name, _ in columns:
+        if name not in CURVES:
+            raise ValueError(f"unknown curve {name!r}; choose from {', '.join(CURVES)}")
+    eps = _eps_array(epsilons)
+    eb = 1.0 - eps.ravel()
+    runs = sorted((_as_zero_run(name, eb, param) + (j,) for j, (name, param) in enumerate(columns)
+                   if name not in ("fb-ub-2inf", "unconstrained")), key=lambda run: -run[0])
+    out = [fb_upper_2inf(eps) if name == "fb-ub-2inf" else 1.0 - eps if name == "unconstrained"
+           else None for name, _ in columns]
+    size = max(1, _BLOCK // max(eb.size, 1))
+    for b in range(0, len(runs), size):
+        ks, weights, scales, js = zip(*runs[b:b + size])
+        for j, scale, row in zip(js, scales, _dinkelbach(*_zero_run_stack(ks, weights))):
+            out[j] = (row / scale).reshape(eps.shape)
+    return out
 
 
 def capacity_curve(name: str, epsilons, param=None) -> np.ndarray:
-    """One capacity curve, a value per entry of epsilons.
-
-    name is one of CURVES: fb0k (feedback_capacity, param = k),
-    unconstrained (1 - eps), nc-dinf (nc_capacity_d_inf, param = d),
-    fb-ub-2inf (fb_upper_2inf) or cap-12 (capacity_12). fb0k, nc-dinf and
-    cap-12 run one _dinkelbach over the whole array, through the same
-    _zero_run and _as_zero_run as the point solvers with numpy stages, so
-    each entry is within a few ulps of its point solver and does not
-    depend on the other entries; the memory held is a few arrays of
-    len(epsilons). fb-ub-2inf is one fb_upper_2inf call on the array.
-
-    Raises:
-        DomainError: an epsilon outside [0, 1], or k or d not a positive
-            integer, before anything is solved.
-        ValueError: an unknown curve name.
-    """
-    if name not in CURVES:
-        raise ValueError(f"unknown curve {name!r}; choose from {', '.join(CURVES)}")
-    eps = _eps_array(epsilons)
-    if name == "fb-ub-2inf":
-        return fb_upper_2inf(eps)
-    if name == "unconstrained":
-        return 1.0 - eps
-    k, weight, scale = _as_zero_run(name, 1.0 - eps, param)
-    return _dinkelbach(lambda level: _zero_run(weight, k, level, _stage_array), np.zeros_like(eps)) / scale
+    """One capacity curve, a value per entry of epsilons: capacity_curves
+    of the one column (name, param), name in CURVES: fb0k (feedback_capacity,
+    param = k), unconstrained (1 - eps), nc-dinf (nc_capacity_d_inf, param
+    = d), fb-ub-2inf (fb_upper_2inf) or cap-12 (capacity_12)."""
+    return capacity_curves([(name, param)], epsilons)[0]

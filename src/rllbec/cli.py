@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: capacity (single point), sweep (curves over an epsilon
-grid, CSV or JSON; one capacity_curve call per curve column, over the
+grid, CSV or JSON; one capacity_curves call for every column, over the
 whole grid, and the text written from those columns), simulate (Monte
 Carlo transmissions), oracle (exact grid maximum vs the solver and its
 certified upper bound), validate (check bit strings against a
@@ -107,7 +107,7 @@ def cmd_sweep(args) -> int:
     for flag, values, curve in (("--k", ks, "fb0k"), ("--d", ds, "nc-dinf")):
         if curve in curves and not values:
             raise ValueError(f"{flag} lists no value for the {curve} curve")
-    columns = []  # (curve, k column, param of capacity_curve)
+    columns = []  # (curve, k column, param of capacity_curves)
     for curve in curves:
         if curve == "fb0k":
             columns += [(curve, k, k) for k in ks]
@@ -115,10 +115,11 @@ def cmd_sweep(args) -> int:
             columns += [(curve, f"{d},inf", d) for d in ds]
         else:
             columns.append((curve, _LABELS[curve], None))
+    values = cap.capacity_curves([(curve, param) for curve, _, param in columns], grid)
     # rows run over the grid, which is increasing, and at each epsilon over
     # the columns sorted by (curve, str(k)); stable, so duplicates keep their order
-    columns = sorted(((curve, kcol, cap.capacity_curve(curve, grid, param).tolist())
-                      for curve, kcol, param in columns), key=lambda c: (c[0], str(c[1])))
+    columns = sorted(((curve, kcol, v.tolist()) for (curve, kcol, _), v in zip(columns, values)),
+                     key=lambda c: (c[0], str(c[1])))
 
     def render(out):
         # byte for byte the row-dict path that tests/oracles.py keeps as reference

@@ -5,8 +5,9 @@ way: the constraint graph's Perron root, the stationary law of any
 finite chain, by least squares and, for a chain with one closed class,
 exactly in rationals (the reference for the labeling chain's closed
 form), the zero-run chain and its closed-form law, a Monte Carlo of the renewal
-process behind nc_capacity_d_inf, the text of `rllbec sweep` built one row dict at a
-time, and the CLI's argparse tree built one add_argument call at a time.
+process behind nc_capacity_d_inf, a zero-run curve solved one column at a time,
+the text of `rllbec sweep` built one row dict at a time, and the CLI's argparse
+tree built one add_argument call at a time.
 """
 
 import argparse
@@ -196,6 +197,16 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
     ones = rng.random(horizon_symbols) < delta
     total_uses = int(waits.sum() + d * ones.sum())
     return h2(delta) * horizon_symbols / total_uses
+
+
+def zero_run_curve(name, epsilons, param=None) -> np.ndarray:
+    """capacity_curve of one fb0k, nc-dinf or cap-12 column, solved on its
+    own: one _dinkelbach over the column, _zero_run with numpy stages at
+    the column's k in every call, every entry evaluated until all stop."""
+    eps = np.array(epsilons, dtype=float, ndmin=1)
+    k, weight, scale = cap._as_zero_run(name, 1.0 - eps, param)
+    level = cap._dinkelbach(lambda R: cap._zero_run(weight, k, R, cap._stage_array), np.zeros_like(eps))
+    return level / scale
 
 
 def sweep_text(curves, grid, ks=(), ds=(), fmt="csv") -> str:

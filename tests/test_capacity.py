@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rllbec import (
@@ -18,6 +18,7 @@ from rllbec import (
     SchemeParams,
     capacity_12,
     capacity_curve,
+    capacity_curves,
     delta_chain,
     fb_upper_2inf,
     feedback_capacity,
@@ -28,10 +29,10 @@ from rllbec import (
     rate,
     stationarity_residual,
 )
-from rllbec import capacity
+from rllbec import capacity, cli
 from rllbec.capacity import CURVES, _MARGIN, _stage, _stage_array
 
-from oracles import noiseless_capacity
+from oracles import noiseless_capacity, zero_run_curve
 
 LOG2_GOLDEN = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
 EPS_STAR = 1.0 - 1.0 / math.log2(9.0 / 4.0)  # where fb-ub-2inf leaves nc-dinf at d = 2
@@ -404,6 +405,74 @@ class TestCapacityCurve:
             capacity_curve("bogus", [0.5])
 
 
+def alone(name, eps, param):
+    """One column of capacity_curves, solved on its own."""
+    if name == "fb-ub-2inf":
+        return fb_upper_2inf(np.array(eps, dtype=float, ndmin=1))
+    if name == "unconstrained":
+        return 1.0 - np.array(eps, dtype=float, ndmin=1)
+    return zero_run_curve(name, eps, param)
+
+
+COLUMN = st.one_of(
+    st.tuples(st.just("fb0k"), st.sampled_from([*range(1, 65), 1000])),
+    st.tuples(st.just("nc-dinf"), st.one_of(st.integers(1, 5), st.integers(1, 10 ** 300))),
+    st.sampled_from([("cap-12", None), ("fb-ub-2inf", None), ("unconstrained", None)]),
+)
+EDGE_EPS = [0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]
+
+
+class TestCapacityCurves:
+    @settings(max_examples=40, database=None, deadline=None)
+    @given(st.lists(COLUMN, min_size=1, max_size=8),
+           st.lists(st.one_of(st.sampled_from(EDGE_EPS), st.floats(0.0, 1.0)), min_size=1, max_size=40))
+    @example([("fb0k", 1000), ("nc-dinf", 10 ** 300), ("fb0k", 2), ("cap-12", None), ("fb0k", 2),
+              ("nc-dinf", 1), ("fb0k", 64)], EDGE_EPS)
+    def test_each_column_as_solved_alone(self, columns, eps):
+        # bit for bit, unsorted and with duplicates: each stacked row does
+        # the arithmetic of its column alone, which runs at its own k and
+        # evaluates every entry until all have stopped
+        for (name, param), values in zip(columns, capacity_curves(columns, eps)):
+            assert values.tobytes() == alone(name, eps, param).tobytes()
+
+    @pytest.mark.parametrize("n", [1001, 5001])
+    def test_blocks_above_the_bound(self, n):
+        # four rows per block at 1,001 epsilons, one at 5,001
+        columns = [("fb0k", 64), ("fb0k", 1), ("nc-dinf", 3), ("fb0k", 8), ("cap-12", None), ("fb0k", 64)]
+        eps = np.linspace(0.0, 1.0, n)
+        assert len(columns) * n > capacity._BLOCK
+        for (name, param), values in zip(columns, capacity_curves(columns, eps)):
+            assert values.tobytes() == zero_run_curve(name, eps, param).tobytes()
+
+    def test_keeps_the_shape_of_epsilons(self):
+        grid = [[0.0, 0.25], [0.5, 1.0]]
+        columns = [("fb0k", 2), ("cap-12", None), ("fb-ub-2inf", None)]
+        for values, flat in zip(capacity_curves(columns, grid), capacity_curves(columns, np.ravel(grid))):
+            assert values.shape == (2, 2)
+            assert values.ravel().tolist() == flat.tolist()
+
+    def test_finished_columns_leave_the_loop(self, monkeypatch):
+        # the perfbench sweep columns at seed 0 take 518 stage calls one
+        # column at a time; stacked, a row that has stopped leaves the
+        # loop, so the k = 64 row soon runs alone (250 calls)
+        calls = []
+        monkeypatch.setattr(capacity, "_stage_array", lambda a: calls.append(a.shape) or _stage_array(a))
+        capacity_curves(TestCapacityCurve.COLUMNS, cli._parse_grid("0.0:1:0.02"))
+        assert len(calls) <= 260
+
+    def test_domain_before_solving(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("solved before the domain check")
+
+        monkeypatch.setattr(capacity, "_dinkelbach", solve)
+        monkeypatch.setattr(capacity, "fb_upper_2inf", solve)
+        for columns in ([("fb-ub-2inf", None), ("fb0k", 0)], [("fb0k", 2), ("nc-dinf", None)]):
+            with pytest.raises(DomainError):
+                capacity_curves(columns, [0.5])
+        with pytest.raises(ValueError, match="unknown curve 'bogus'"):
+            capacity_curves([("fb-ub-2inf", None), ("bogus", None)], [0.5])
+
+
 class TestGridSearch:
     def test_agrees_with_one_dim_reduction(self):
         for k, grid_n, bound in ((1, 201, 5e-4), (2, 201, 5e-4)):
@@ -479,6 +548,15 @@ class TestNcCapacityDInf:
     def test_monotone_in_d(self):
         assert nc_capacity_d_inf(0.3, 1).value > nc_capacity_d_inf(0.3, 2).value
 
+    @pytest.mark.parametrize("d", [10 ** 6, 10 ** 15, 10 ** 300], ids=["1e6", "1e15", "1e300"])
+    def test_large_d(self, d):
+        # the float stage once took log2(1 + 2^-b), which loses 2^-b, and
+        # the climb from 0 to a level near log2(d) once stopped at 200 steps
+        for eps in (0.0, 0.3, 0.9, 0.999):
+            value = nc_capacity_d_inf(eps, d).value
+            assert value == capacity_curve("nc-dinf", [eps], d)[0]
+            assert abs(value - float(nc_mp(eps, d))) <= 4.4e-16 * value
+
     def test_d_one_is_the_k_one_feedback_capacity(self):
         # H2(x)/(1/(1-eps) + x) is the k = 1 rate at the same weight 1 - eps
         for eps in np.linspace(0.0, 1.0, 1001):
@@ -497,6 +575,21 @@ class TestNcCapacityDInf:
             with pytest.raises(DomainError, match="too large for a float"):
                 capacity_curve("nc-dinf", [0.0, 0.3, 1.0], d)
         assert np.all(np.isfinite(capacity_curve("nc-dinf", [0.0, 0.3, 1.0], 2 ** 1024 - 2 ** 970 - 1)))
+
+
+def nc_mp(eps, d):
+    """nc_capacity_d_inf at 40 digits: log2((1 - x)/x)/d at the root x of
+    (c + d)*ln(1 - x) = c*ln(x), c = 1/(1 - eps), bisected in y = ln(x)."""
+    with mpmath.workdps(40):
+        c, d = 1 / (1 - mpmath.mpf(eps)), mpmath.mpf(d)
+        lo, hi = mpmath.mpf(-2000), mpmath.log(0.5)  # excess > 0 at lo, < 0 at hi
+
+        def excess(y):
+            return (c + d) * mpmath.log1p(-mpmath.exp(y)) - c * y
+
+        for _ in range(200):
+            lo, hi = ((lo + hi) / 2, hi) if excess((lo + hi) / 2) > 0 else (lo, (lo + hi) / 2)
+        return (mpmath.log1p(-mpmath.exp(lo)) - lo) / mpmath.ln2 / d
 
 
 def fb_upper_mp(eps):
