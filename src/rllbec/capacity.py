@@ -19,11 +19,11 @@ k = 1 rate at a rescaled weight (_as_zero_run). fb_upper_2inf maximizes
 N - R*D with one stage per node, at the shift that the constraint's
 multiplier adds; the same loop finds that multiplier.
 
-The loop and the recursions run on a float, for the point solvers, or
-on a stack of arrays by epsilon, one row per zero-run curve, each joining
-at its own k (_zero_run_stack). Only the stage primitive differs (_stage
-with math, _stage_array with numpy). Each array entry stops on its own.
-fb_upper_2inf runs on arrays only."""
+The loop and the one zero-run recursion run on a float, for the point
+solvers and the grid oracle, or on a stack of arrays by epsilon, one row
+per zero-run curve, each joining at its own k. Only the stage primitive
+differs (_stage with math, _stage_array with numpy, or a grid axis).
+Each array entry stops on its own. fb_upper_2inf runs on arrays only."""
 
 from __future__ import annotations
 
@@ -213,7 +213,8 @@ def _dinkelbach(maximizer, level=0.0):
     never passes it. With floats, the loop stops once F(R) <= 0, which
     proves R is the root, or R stops rising; with arrays, each entry stops
     on its own in the same way and keeps its level while the others rise.
-    The last call to maximizer is always at the returned level.
+    The last call to maximizer is always at the returned level. An entry
+    still rising after _MAX_STEPS steps raises RuntimeError.
     """
     surplus, r = maximizer(level)
     for _ in range(_MAX_STEPS):
@@ -227,6 +228,9 @@ def _dinkelbach(maximizer, level=0.0):
         else:
             break
         surplus, r = maximizer(level)
+    else:
+        if np.any((surplus > 0.0) & (r > level)):
+            raise RuntimeError(f"Newton iteration still rising after {_MAX_STEPS} steps")
     return level
 
 
@@ -262,11 +266,23 @@ def _zero_run(weight, k, level, stage, point=None):
     is u_i = max_x H2(x) - a_i*x with a_i = R - w*u_{i+1} and u_k = 0;
     F(R) = w*u_0 - R. stage(a) returns that value at its maximizer and
     the maximizer. The same pass sums T_i = w*delta_i*(1 + T_{i+1}), so
-    D = 1 + T_0 and r = R + F/D. weight and level are floats or arrays;
+    D = 1 + T_0 and r = R + F/D. weight and level are floats or arrays, k
+    an int or, by row, each row's k in descending order: stage i runs on
+    the rows with k > i, each joining with u = t = 0, as when solved alone.
     point, if given, is filled with the maximizers.
     """
     u = t = 0.0
-    for i in range(k - 1, -1, -1):
+    top, join = k, -1  # join: the next stage at which rows join
+    if not isinstance(k, int):  # level and weight hold the rows in the pass
+        top, join, q, stack = k[0], k[0] - 1, 0, (level, weight)
+    for i in range(top - 1, -1, -1):
+        if i == join:  # the rows of k = i + 1 join, from row q on
+            p, q = q, q + k.count(i + 1)
+            if p:
+                pad = np.zeros((q - p,) + level.shape[1:])
+                u, t = np.concatenate((u, pad)), np.concatenate((t, pad))
+            level, weight = (stack[0][:q], stack[1][:q]) if q < len(k) else stack
+            join = k[q] - 1 if q < len(k) else -1
         u, x = stage(level - weight * u)
         t = weight * x * (1.0 + t)
         if point is not None:
@@ -479,31 +495,19 @@ _BLOCK = 4096  # cells solved in one stack; larger stacks ran slower than one co
 
 def _zero_run_stack(ks, weights):
     """A maximizer for _dinkelbach, and its start, whose row j is _zero_run
-    at ks[j] (descending) and weights[j] with numpy stages. Stage i runs on
-    the rows with k > i only; each row joins at its own k with u = t = 0,
-    as when solved alone. A row whose level has not moved since the last
-    call has stopped for good: it keeps its (F, r) and is not solved again."""
+    at ks[j] (descending) and weights[j] with numpy stages. A row whose
+    level has not moved since the last call has stopped for good: it keeps
+    its (F, r) and is not solved again."""
     weight, surplus, r, last = np.array(weights), None, None, None
 
     def maximizer(level):
         nonlocal surplus, r, last
         rows = None if last is None or len(level) == 1 else np.flatnonzero((level != last).any(axis=1))
         every, last = rows is None or len(rows) == len(level), level
-        sub, w, k = (level, weight, ks) if every else (level[rows], weight[rows], [ks[j] for j in rows])
-        u, t, p = 0.0, 0.0, 0  # p rows in the recursion
-        for i in range(k[0] - 1, -1, -1):
-            if p < len(k) and k[p] > i:  # the rows of k = i + 1 join
-                q = p + k.count(i + 1)
-                if p:
-                    u, t = (np.concatenate((v, np.zeros((q - p,) + sub.shape[1:]))) for v in (u, t))
-                p, sub_p, w_p = (q, sub, w) if q == len(sub) else (q, sub[:q], w[:q])
-            u, x = _stage_array(sub_p - w_p * u)
-            t = w_p * x * (1.0 + t)
-        value = w * u - sub
         if every:
-            surplus, r = value, sub + value / (1.0 + t)
+            surplus, r = _zero_run(weight, ks, level, _stage_array)
         else:
-            surplus[rows], r[rows] = value, sub + value / (1.0 + t)
+            surplus[rows], r[rows] = _zero_run(weight[rows], [ks[j] for j in rows], level[rows], _stage_array)
         return surplus, r
     return maximizer, np.zeros(weight.shape)
 

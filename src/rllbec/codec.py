@@ -280,9 +280,9 @@ class ArrayCodec:
                 mul[:, label] = b & 0xFFFFFFFF, b >> 32, max(e - 64, 0)
         self._mul = mul
         self._bump = np.arange(k + 2) != label_of(k)
-        # next_label by (rule, output), output 2 standing for an erasure
-        self._next = np.array([[next_label(lab, y, k) for y in (0, 1, None)]
-                               for lab in range(k + 2)], dtype=np.int64)
+        # next_label at 3 * rule + output, output 2 standing for an erasure
+        self._next = np.array([next_label(lab, y, k) for lab in range(k + 2) for y in (0, 1, None)],
+                              dtype=np.int64)
 
     def zero_counts(self, labels, sizes):
         """partition(label, size, params)[0] of each (label, size) pair."""
@@ -314,4 +314,4 @@ class ArrayCodec:
         empty = lo >= hi
         if empty.any():
             raise EmptySet(f"an output empties {np.count_nonzero(empty)} live sets")
-        return x, self._next[labels, np.where(erased, 2, x)], lo, hi
+        return x, self._next.take(3 * labels + np.where(erased, 2, x)), lo, hi

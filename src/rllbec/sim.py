@@ -175,8 +175,9 @@ def _message(raw, log2_messages: int):
 
 def _erased(raw, epsilon: float):
     """Generator.random() < epsilon for the draw of each raw output, as
-    BecChannel erases: random() is (raw >> 11) * 2**-53."""
-    return (raw >> 11) * 2.0 ** -53 < epsilon
+    BecChannel erases: random() is (raw >> 11) * 2**-53, so raw >> 11 <
+    ceil(epsilon * 2**53) exactly."""
+    return raw >> 11 < np.uint64(math.ceil(epsilon * 2.0 ** 53))
 
 
 def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,

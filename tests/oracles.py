@@ -201,12 +201,21 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
 
 def zero_run_curve(name, epsilons, param=None) -> np.ndarray:
     """capacity_curve of one fb0k, nc-dinf or cap-12 column, solved on its
-    own: one _dinkelbach over the column, _zero_run with numpy stages at
-    the column's k in every call, every entry evaluated until all stop."""
+    own: one _dinkelbach over the column, whose maximizer is a plain
+    backward pass of the column's k numpy stages (not capacity._zero_run),
+    every entry evaluated until all stop."""
     eps = np.array(epsilons, dtype=float, ndmin=1)
     k, weight, scale = cap._as_zero_run(name, 1.0 - eps, param)
-    level = cap._dinkelbach(lambda R: cap._zero_run(weight, k, R, cap._stage_array), np.zeros_like(eps))
-    return level / scale
+
+    def maximizer(level):
+        u = t = 0.0
+        for _ in range(k):
+            u, x = cap._stage_array(level - weight * u)
+            t = weight * x * (1.0 + t)
+        surplus = weight * u - level
+        return surplus, level + surplus / (1.0 + t)
+
+    return cap._dinkelbach(maximizer, np.zeros_like(eps)) / scale
 
 
 def sweep_text(curves, grid, ks=(), ds=(), fmt="csv") -> str:

@@ -293,6 +293,21 @@ class TestCertificate:
             res = feedback_capacity(eps, k)
             assert capacity._zero_run(1.0 - eps, k, res.upper, _stage)[0] < 0
 
+    def test_curves_stay_below_upper(self):
+        # one stacked pass at every column's upper, value + _MARGIN in the
+        # zero-run rate's units, gives F < 0 in every cell
+        columns = ([("fb0k", k) for k in (1, 2, 64, 1000)]
+                   + [("nc-dinf", d) for d in (1, 2, 3, 10 ** 6)] + [("cap-12", None)])
+        eps = np.linspace(0.0, 1.0, 201)
+        runs = sorted(((*capacity._as_zero_run(name, 1.0 - eps, param), values)
+                       for (name, param), values in zip(columns, capacity_curves(columns, eps))),
+                      key=lambda run: -run[0])
+        ks, weights, scales, values = zip(*runs)
+        upper = (np.array(values) + _MARGIN) * np.array(scales)[:, None]
+        surplus = capacity._zero_run(np.array(weights), ks, upper, _stage_array)[0]
+        assert surplus.shape == (len(columns), eps.size)
+        assert np.all(surplus < 0.0)
+
     @settings(max_examples=100, database=None, deadline=None)
     @given(st.floats(0.0, 1.0), st.lists(
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=8))
@@ -309,6 +324,28 @@ class TestCertificate:
         eb = 1.0 - eps
         assert eb * h2(x) / (1.0 + d * eb * x) <= nc_capacity_d_inf(eps, d).upper
         assert eb * h2(x) / (1.0 + eb * eb + eb * x) <= capacity_12(eps).upper
+
+
+class TestDinkelbach:
+    def test_raises_at_the_step_cap(self):
+        # a maximizer that climbs one ulp per call never stops on its own
+        with pytest.raises(RuntimeError, match="still rising"):
+            capacity._dinkelbach(lambda level: (1.0, math.nextafter(level, math.inf)))
+        with pytest.raises(RuntimeError, match="still rising"):
+            capacity._dinkelbach(lambda level: (np.ones_like(level), np.nextafter(level, np.inf)),
+                                 np.array([0.0, 0.5]))
+
+    def test_stops_on_its_last_allowed_step(self):
+        # from level 0, climbs by 1 until level = _MAX_STEPS, then stops
+        top = float(capacity._MAX_STEPS)
+
+        def climb(level):
+            return np.where(level < top, 1.0, 0.0), level + 1.0
+
+        assert capacity._dinkelbach(climb, 0.0) == top
+        assert capacity._dinkelbach(climb, np.array([0.0, top - 5.0])).tolist() == [top, top]
+        with pytest.raises(RuntimeError, match="still rising"):
+            capacity._dinkelbach(climb, -1.0)
 
 
 # the perfbench sweep grid, unshifted and shifted as at seed 7

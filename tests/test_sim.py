@@ -128,7 +128,7 @@ class TestBecChannel:
             raw = np.array(raw).T
             for row, s_ch in zip(raw, children[1]):
                 assert row.tolist() == np.random.PCG64(s_ch).random_raw(draws).tolist()
-                for eps in (0.0, 0.3, 0.999, 1.0):
+                for eps in (0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0 ** -53, 1.0):
                     ch = BecChannel(eps, s_ch)
                     assert sim._erased(row, eps).tolist() == [ch(1) is None for _ in range(draws)]
             first = sim._next_raw(*sim._generator(seed, np.array(t, dtype=np.uint64), 0))[2]
@@ -143,6 +143,10 @@ class TestBecChannel:
         raw = np.array([1 << 11, 3 << 11, 2**64 - 1], dtype=np.uint64)
         assert sim._erased(raw, 3 * 2.0**-53).tolist() == [True, False, False]
         assert sim._erased(raw, 1.0).tolist() == [True, True, True]
+        # the extreme thresholds: random() = 0 below the least subnormal,
+        # and the largest random() not below its own value
+        assert sim._erased(raw - (1 << 11), 5e-324).tolist() == [True, False, False]
+        assert sim._erased(raw, 1.0 - 2.0**-53).tolist() == [True, True, False]
 
     def test_erasure_fraction(self):
         # the channel's decisions are these draws (test_one_draw_per_use)

@@ -19,8 +19,11 @@ whether the checkout had uncommitted changes, the seeds and every run;
 and per workload and side, the median, quartiles and IQR of each
 end-to-end metric and the summed attempted and failed counts. With a
 parent it adds, per metric, how many pairs the checkout won (ties count
-for neither) and the relative change of the medians. Uses the stdlib
-only; progress goes to stderr.
+for neither), the relative change of the medians, and each pair's
+checkout/parent ratio (None where a side did not finish or the parent
+read 0) with the median and quartiles of those ratios: a slow phase of
+the host that covers a whole pair cancels out of its ratio. Uses the
+stdlib only; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -65,6 +68,12 @@ def run_once(tree, workload, seed, seconds):
             "failed": last["failed"], "metrics": {n: m["value"] for n, m in last["metrics"].items()}}, env
 
 
+def quartiles(xs):
+    """Median, quartiles and IQR of a non-empty list."""
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) >= 2 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
 def summary(runs, names):
     """Median, quartiles and IQR of each metric over the runs that finished."""
     out = {"runs": len(runs), "finished": sum("metrics" in r for r in runs),
@@ -72,11 +81,8 @@ def summary(runs, names):
            "failed": sum(r.get("failed", 0) for r in runs)}
     for name in names:
         xs = [r["metrics"][name] for r in runs if "metrics" in r]
-        if len(xs) >= 2:
-            q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-            out[name] = {"median": statistics.median(xs), "q1": q1, "q3": q3, "iqr": q3 - q1}
-        elif xs:
-            out[name] = {"median": xs[0], "q1": xs[0], "q3": xs[0], "iqr": 0.0}
+        if xs:
+            out[name] = quartiles(xs)
     return out
 
 
@@ -124,16 +130,19 @@ def main(argv=None) -> int:
         entry = {"seeds": seeds, "first": first, "runs": runs,
                  "summary": {name: summary(rs, better) for name, rs in runs.items()}}
         if "parent" in sides:
-            won, change = {}, {}
+            won, change, ratios = {}, {}, {}
             for name, direction in better.items():
                 sign = 1.0 if direction == "higher" else -1.0
-                won[name] = sum(1 for c, p in zip(runs["change"], runs["parent"])
-                                if "metrics" in c and "metrics" in p
-                                and sign * (c["metrics"][name] - p["metrics"][name]) > 0)
+                pairs = [(c["metrics"][name], p["metrics"][name]) if "metrics" in c and "metrics" in p else None
+                         for c, p in zip(runs["change"], runs["parent"])]
+                won[name] = sum(1 for pair in pairs if pair and sign * (pair[0] - pair[1]) > 0)
                 med = {s: entry["summary"][s].get(name, {}).get("median") for s in sides}
                 change[name] = ((med["change"] - med["parent"]) / med["parent"]
                                 if med["parent"] and med["change"] is not None else None)
-            entry["pairs_won_by_change"], entry["median_change_frac"] = won, change
+                rs = [pair[0] / pair[1] if pair and pair[1] else None for pair in pairs]
+                done = [x for x in rs if x is not None]
+                ratios[name] = {"ratios": rs, **(quartiles(done) if done else {})}
+            entry["pairs_won_by_change"], entry["pair_ratio"], entry["median_change_frac"] = won, ratios, change
         record["workloads"][workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
