@@ -18,23 +18,21 @@ and that singleton is the message. No output sequence can make a live
 message emit more than k '0's in a row, so the constraint holds no
 matter what the channel does.
 
-ArrayCodec applies the same rules to many sessions at once, one channel
-use per call, on int64 arrays; the scalar functions are its
-specification.
+The scalar functions are the specification: a session is a rule and the
+live set's integer bounds lo < hi, split at _cut's c. ArrayCodec holds
+the same state and cut for many sessions at once, on int64 arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import DomainError, SchemeParams, rate
 
-__all__ = ["TILDE0", "ArrayCodec", "EmptySet", "MessageInterval",
-           "MessageOutsideLiveSet", "SchemeSession", "UseBudgetExceeded", "input_bit",
-           "label_names", "label_of", "next_label", "partition", "transmit_message",
+__all__ = ["TILDE0", "ArrayCodec", "EmptySet", "MessageOutsideLiveSet", "UseBudgetExceeded",
+           "input_bit", "label_names", "label_of", "next_label", "partition", "transmit_message",
            "update_live"]
 
 TILDE0 = 0
@@ -69,34 +67,13 @@ def label_names(k: int) -> list[str]:
     return ["~l0"] + [f"l{j}" for j in range(k + 1)]
 
 
-@dataclass(frozen=True)
-class MessageInterval:
-    """Contiguous integer range [lo, hi) of still-possible messages."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi})")
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    def __contains__(self, m) -> bool:
-        return self.lo <= m < self.hi
-
-
-def partition(label: int, live_size: int, params: SchemeParams):
-    """Size and placement of the '0' block for a rule and live size.
+def partition(label: int, live_size: int, params: SchemeParams) -> int:
+    """Size of the '0' block for a rule and live size.
 
     The size is floor(delta_j * live_size) in exact integer arithmetic,
     so it stays right for live sizes beyond float precision (2**53).
-
-    Returns:
-        (zero_count, side) with side 'prefix' or 'suffix'. L(k) always
-        returns (0, 'prefix'): its input is forced to '1'.
+    The block is a suffix of the live set under Tilde0 and a prefix
+    under every L(j); L(k) returns 0, as its input is forced to '1'.
     """
     if live_size < 1:
         raise ValueError(f"live_size must be positive, got {live_size}")
@@ -104,24 +81,27 @@ def partition(label: int, live_size: int, params: SchemeParams):
     if not 0 <= label <= k + 1:
         raise ValueError(f"label {label} out of range for k={k}")
     if label == label_of(k):
-        return 0, "prefix"
+        return 0
     p, q = params.delta[delta_index(label)].as_integer_ratio()
     zc = p * live_size // q
     if zc == 0 and live_size >= 2:
         # an empty block stalls the session once the posterior is tight;
         # one message is safe: 1 + floor(a/2) <= a and 2*1 <= a for a >= 2
         zc = 1
-    return zc, ("suffix" if label == TILDE0 else "prefix")
+    return zc
 
 
-def input_bit(session: "SchemeSession", m: int) -> int:
-    """Bit that message m transmits under the session's current rule."""
-    if m not in session.live:
-        raise MessageOutsideLiveSet(f"message {m} not in {session.live}")
-    zc, side = partition(session.label, session.live.size, session.params)
-    if side == "prefix":
-        return 0 if m < session.live.lo + zc else 1
-    return 0 if m >= session.live.hi - zc else 1
+def _cut(label: int, lo: int, hi: int, params: SchemeParams) -> int:
+    """Cut c of the live set [lo, hi): the '0' block is [lo, c), or [c, hi) under Tilde0."""
+    zc = partition(label, hi - lo, params)
+    return hi - zc if label == TILDE0 else lo + zc
+
+
+def input_bit(label: int, lo: int, hi: int, m: int, params: SchemeParams) -> int:
+    """Bit that message m transmits under the rule, with live set [lo, hi)."""
+    if not lo <= m < hi:
+        raise MessageOutsideLiveSet(f"message {m} not in [{lo}, {hi})")
+    return int((m >= _cut(label, lo, hi, params)) != (label == TILDE0))
 
 
 def next_label(label: int, y, k: int) -> int:
@@ -141,29 +121,25 @@ def next_label(label: int, y, k: int) -> int:
     raise ValueError(f"output must be 0, 1, or None, got {y!r}")
 
 
-def update_live(live: MessageInterval, label: int, y, params: SchemeParams) -> MessageInterval:
-    """Shrink the live interval to the block matching output y.
+def update_live(label: int, lo: int, hi: int, y, params: SchemeParams) -> tuple[int, int]:
+    """Bounds (lo, hi) of the live set after output y: the block that sent y.
 
-    An erasure (y = None) leaves the interval unchanged. Raises
-    EmptySet if the matching block is empty, which cannot happen for
-    outputs actually produced by a live message.
+    An erasure (y = None) leaves them unchanged. Raises EmptySet if the
+    matching block is empty, which cannot happen for outputs actually
+    produced by a live message.
     """
     if y is None:
-        return live
-    zc, side = partition(label, live.size, params)
-    if side == "prefix":
-        zl, zh = live.lo, live.lo + zc
-    else:
-        zl, zh = live.hi - zc, live.hi
-    if y == 0:
-        nl, nh = zl, zh
-    elif y == 1:
-        nl, nh = (live.lo + zc, live.hi) if side == "prefix" else (live.lo, live.hi - zc)
-    else:
+        return lo, hi
+    if y not in (0, 1):
         raise ValueError(f"output must be 0, 1, or None, got {y!r}")
-    if nl >= nh:
-        raise EmptySet(f"output {y} under label {label} empties {live}")
-    return MessageInterval(nl, nh)
+    c = _cut(label, lo, hi, params)
+    if (y == 1) != (label == TILDE0):  # the block above the cut sent y
+        lo = c
+    else:
+        hi = c
+    if lo >= hi:
+        raise EmptySet(f"output {y} under label {label} leaves no live message")
+    return lo, hi
 
 
 def _check_safe(params: SchemeParams):
@@ -180,24 +156,6 @@ def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses):
         if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
             raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
                               f"per transmission; set max_uses")
-
-
-@dataclass
-class SchemeSession:
-    """Mutable state of one transmission, which transmit_message steps:
-    the parameters, the current labeling rule, the live interval and the
-    channel uses so far."""
-
-    params: SchemeParams
-    label: int
-    live: MessageInterval
-    uses: int = 0
-
-    @classmethod
-    def start(cls, params: SchemeParams, n_messages: int) -> "SchemeSession":
-        if n_messages < 2:
-            raise ValueError(f"need at least 2 messages, got {n_messages}")
-        return cls(params=params, label=label_of(0), live=MessageInterval(0, n_messages))
 
 
 def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
@@ -217,29 +175,30 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         the number of channel uses, and the transmitted bit sequence.
 
     Raises:
+        ValueError: fewer than 2 messages.
         MessageOutsideLiveSet: m outside [0, n_messages).
         UseBudgetExceeded: max_uses hit before the interval is a singleton.
         DomainError: some delta_j > 1/2, which would let the '0' blocks
             of L(j) and Tilde0 overlap, or no cap where one is needed.
     """
-    session = SchemeSession.start(params, n_messages)
-    if m not in session.live:
+    if n_messages < 2:
+        raise ValueError(f"need at least 2 messages, got {n_messages}")
+    if not 0 <= m < n_messages:
         raise MessageOutsideLiveSet(f"message {m} not in [0, {n_messages})")
     _check_safe(params)
     _check_use_bound(params, math.log2(n_messages), max_uses)
-    x_seq = []
-    while session.live.size > 1:
-        if max_uses is not None and session.uses >= max_uses:
-            raise UseBudgetExceeded(f"live size still {session.live.size} after {max_uses} uses")
-        x = input_bit(session, m)
+    label, lo, hi, x_seq = label_of(0), 0, n_messages, []
+    while hi - lo > 1:
+        if max_uses is not None and len(x_seq) >= max_uses:
+            raise UseBudgetExceeded(f"live size still {hi - lo} after {max_uses} uses")
+        x = input_bit(label, lo, hi, m, params)
         y = channel(x)
-        session.uses += 1
         x_seq.append(x)
         if transcript is not None:
             transcript.append((x, y))
-        session.live = update_live(session.live, session.label, y, session.params)
-        session.label = next_label(session.label, y, session.params.k)
-    return session.live.lo, session.uses, x_seq
+        lo, hi = update_live(label, lo, hi, y, params)
+        label = next_label(label, y, params.k)
+    return lo, len(x_seq), x_seq
 
 
 def mulhi(a, b_lo, b_hi):
@@ -255,10 +214,11 @@ class ArrayCodec:
     """One channel use of many sessions at once, on int64 arrays.
 
     step() is the elementwise image of one pass through the loop of
-    transmit_message (input_bit, update_live, next_label), and
-    zero_counts() that of partition's count; the scalar functions stay
-    the specification. Live sizes lie below 2**63, and the '0' block
-    size floor(delta_j * a) is exact there: a float delta_j <= 1/2 is
+    transmit_message: it holds the same state (rule, lo, hi), cuts at
+    _cut's c, then applies input_bit, update_live and next_label; and
+    zero_counts() is that of partition. The scalar functions stay the
+    specification. Live sizes lie below 2**63, and the '0' block size
+    floor(delta_j * a) is exact there: a float delta_j <= 1/2 is
     p / 2**e with p < 2**53, so b = p << (64 - e) lies below 2**64 for
     e <= 64, and the size is the high word of b * a (mulhi), shifted right
     by max(e - 64, 0).
@@ -285,7 +245,7 @@ class ArrayCodec:
                               dtype=np.int64)
 
     def zero_counts(self, labels, sizes):
-        """partition(label, size, params)[0] of each (label, size) pair."""
+        """partition(label, size, params) of each (label, size) pair."""
         b_lo, b_hi, shift = self._mul.take(labels, axis=1)
         zc = (mulhi(sizes.astype(np.uint64), b_lo, b_hi) >> shift).astype(np.int64)
         return np.maximum(zc, self._bump[labels] & (sizes >= 2))  # the one-message bump
@@ -301,8 +261,7 @@ class ArrayCodec:
             EmptySet: as update_live, which outputs of live messages never do.
         """
         zc = self.zero_counts(labels, hi - lo)
-        # partition cuts [lo, hi) at c: the '0' block is the prefix [lo, c),
-        # or the suffix [c, hi) under Tilde0
+        # _cut: the '0' block is [lo, c), or [c, hi) under Tilde0
         suffix = labels == TILDE0
         c = np.where(suffix, hi - zc, lo + zc)
         upper = m >= c

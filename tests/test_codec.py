@@ -14,11 +14,9 @@ from rllbec import (
     ArrayCodec,
     DomainError,
     EmptySet,
-    MessageInterval,
     MessageOutsideLiveSet,
     RllConstraint,
     SchemeParams,
-    SchemeSession,
     UseBudgetExceeded,
     feedback_capacity,
     first_violation,
@@ -40,20 +38,6 @@ def params_k2(d=(0.45, 0.3), eps=0.0):
     return SchemeParams(eps, 2, d)
 
 
-class TestMessageInterval:
-    def test_size_and_membership(self):
-        live = MessageInterval(3, 10)
-        assert live.size == 7
-        assert 3 in live and 9 in live
-        assert 10 not in live and 2 not in live
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            MessageInterval(5, 5)
-        with pytest.raises(ValueError):
-            MessageInterval(7, 2)
-
-
 class TestLabels:
     def test_indexing(self):
         assert TILDE0 == 0
@@ -66,20 +50,31 @@ class TestLabels:
 
 class TestPartition:
     def test_prefix_under_running_rule(self):
-        assert partition(label_of(0), 10, params_k1()) == (4, "prefix")
+        p = params_k1()
+        assert partition(label_of(0), 10, p) == 4
+        # the '0' block is the prefix [2, 6) of [2, 12)
+        assert [input_bit(label_of(0), 2, 12, m, p) for m in range(2, 12)] == [0] * 4 + [1] * 6
+        assert update_live(label_of(0), 2, 12, 0, p) == (2, 6)
+        assert update_live(label_of(0), 2, 12, 1, p) == (6, 12)
 
     def test_forced_rule_has_empty_zero_block(self):
-        assert partition(label_of(2), 10, params_k2()) == (0, "prefix")
-        assert partition(label_of(1), 5, params_k1(d0=0.5)) == (0, "prefix")
+        assert partition(label_of(2), 10, params_k2()) == 0
+        assert partition(label_of(1), 5, params_k1(d0=0.5)) == 0
+        assert [input_bit(label_of(1), 0, 5, m, params_k1(d0=0.5)) for m in range(5)] == [1] * 5
 
     def test_suffix_after_erasure(self):
-        assert partition(TILDE0, 7, params_k1(d0=0.5)) == (3, "suffix")
+        p = params_k1(d0=0.5)
+        assert partition(TILDE0, 7, p) == 3
+        # the '0' block is the suffix [4, 7) of [0, 7)
+        assert [input_bit(TILDE0, 0, 7, m, p) for m in range(7)] == [1] * 4 + [0] * 3
+        assert update_live(TILDE0, 0, 7, 0, p) == (4, 7)
+        assert update_live(TILDE0, 0, 7, 1, p) == (0, 4)
 
     def test_small_live_sets_keep_both_blocks_nonempty(self):
-        assert partition(label_of(0), 2, params_k1(d0=0.38)) == (1, "prefix")
-        assert partition(TILDE0, 3, params_k1(d0=0.2)) == (1, "suffix")
+        assert partition(label_of(0), 2, params_k1(d0=0.38)) == 1
+        assert partition(TILDE0, 3, params_k1(d0=0.2)) == 1
         # a singleton is never split
-        assert partition(label_of(0), 1, params_k1(d0=0.4)) == (0, "prefix")
+        assert partition(label_of(0), 1, params_k1(d0=0.4)) == 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -121,7 +116,7 @@ class TestArraySplit:
                 coder = ArrayCodec(params)
                 for label in range(k + 2):
                     got = coder.zero_counts(np.full(len(sizes), label), np.array(sizes))
-                    want = [partition(label, a, params)[0] for a in sizes]
+                    want = [partition(label, a, params) for a in sizes]
                     assert got.tolist() == want, (delta, label)
 
     def test_step_follows_the_scalar_session(self):
@@ -132,16 +127,16 @@ class TestArraySplit:
         n = 37
         m = np.arange(n)
         labels, lo, hi = np.full(n, label_of(0)), np.zeros(n, dtype=np.int64), np.full(n, n)
-        sessions = [SchemeSession.start(params, n) for _ in range(n)]
+        sessions = [(label_of(0), 0, n)] * n  # (label, lo, hi) of each scalar session
         while m.size:
             erased = rng.random(m.size) < 0.4
             x, labels, lo, hi = coder.step(labels, lo, hi, m, erased)
-            for i, sess in enumerate(sessions):
-                xi = input_bit(sess, int(m[i]))
+            for i, (label, s_lo, s_hi) in enumerate(sessions):
+                xi = input_bit(label, s_lo, s_hi, int(m[i]), params)
                 y = None if erased[i] else xi
-                sess.live = update_live(sess.live, sess.label, y, params)
-                sess.label = next_label(sess.label, y, params.k)
-                assert (x[i], labels[i], lo[i], hi[i]) == (xi, sess.label, sess.live.lo, sess.live.hi)
+                s_lo, s_hi = update_live(label, s_lo, s_hi, y, params)
+                sessions[i] = next_label(label, y, params.k), s_lo, s_hi
+                assert (x[i], labels[i], lo[i], hi[i]) == (xi, *sessions[i])
             live = hi - lo > 1
             assert np.all(lo[~live] == m[~live])
             m, labels, lo, hi = m[live], labels[live], lo[live], hi[live]
@@ -184,39 +179,40 @@ class TestNextLabel:
 
 class TestUpdateLive:
     def test_zero_keeps_prefix(self):
-        live = update_live(MessageInterval(0, 10), label_of(0), 0, params_k1())
-        assert (live.lo, live.hi) == (0, 4)
+        assert update_live(label_of(0), 0, 10, 0, params_k1()) == (0, 4)
 
     def test_one_after_erasure_keeps_prefix_complement(self):
-        live = update_live(MessageInterval(0, 10), TILDE0, 1, params_k1(d0=0.4))
-        assert (live.lo, live.hi) == (0, 6)
+        assert update_live(TILDE0, 0, 10, 1, params_k1(d0=0.4)) == (0, 6)
 
     def test_erasure_changes_nothing(self):
-        live = MessageInterval(2, 9)
-        assert update_live(live, label_of(0), None, params_k1()) == live
+        assert update_live(label_of(0), 2, 9, None, params_k1()) == (2, 9)
 
     def test_inconsistent_output_raises(self):
         # the forced rule sends '1' everywhere; observing '0' is impossible
         with pytest.raises(EmptySet):
-            update_live(MessageInterval(0, 4), label_of(1), 0, params_k1())
+            update_live(label_of(1), 0, 4, 0, params_k1())
         with pytest.raises(EmptySet):
-            update_live(MessageInterval(0, 1), label_of(0), 0, params_k1(d0=0.4))
+            update_live(label_of(0), 0, 1, 0, params_k1(d0=0.4))
+
+    def test_rejects_bad_output(self):
+        for y in (2, -1, 0.5):
+            with pytest.raises(ValueError):
+                update_live(label_of(0), 0, 10, y, params_k1())
 
 
 class TestInputBit:
     def test_zero_block_membership(self):
-        sess = SchemeSession.start(params_k1(), 10)
-        assert [input_bit(sess, m) for m in range(10)] == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+        assert [input_bit(label_of(0), 0, 10, m, params_k1()) for m in range(10)] == [
+            0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
 
     def test_suffix_rule(self):
-        sess = SchemeSession.start(params_k1(d0=0.5), 8)
-        sess.label = TILDE0
-        assert [input_bit(sess, m) for m in range(8)] == [1, 1, 1, 1, 0, 0, 0, 0]
+        assert [input_bit(TILDE0, 0, 8, m, params_k1(d0=0.5)) for m in range(8)] == [
+            1, 1, 1, 1, 0, 0, 0, 0]
 
     def test_message_outside_live(self):
-        sess = SchemeSession.start(params_k1(), 10)
-        with pytest.raises(MessageOutsideLiveSet):
-            input_bit(sess, 10)
+        for m in (-1, 10):
+            with pytest.raises(MessageOutsideLiveSet):
+                input_bit(label_of(0), 0, 10, m, params_k1())
 
 
 class TestTransmit:
@@ -248,11 +244,11 @@ class TestTransmit:
         channel = lambda x: None if rng.random() < 0.3 else x
         transcript = []
         m_hat, uses, _ = transmit_message(23, 64, p, channel, transcript=transcript)
-        live, label = MessageInterval(0, 64), label_of(0)
+        label, lo, hi = label_of(0), 0, 64
         for _, y in transcript:
-            live = update_live(live, label, y, p)
+            lo, hi = update_live(label, lo, hi, y, p)
             label = next_label(label, y, p.k)
-        assert live.size == 1 and live.lo == m_hat == 23
+        assert hi - lo == 1 and lo == m_hat == 23
         assert len(transcript) == uses
 
     def test_use_budget(self):
@@ -293,7 +289,7 @@ class TestTransmit:
         m_hat, _, x_seq = transmit_message(m, 2**62 - 1, SchemeParams(0.5, 1, (0.5,)), channel)
         assert m_hat == m
         assert first_violation(RllConstraint(0, 1), x_seq) is None
-        assert partition(TILDE0, 2**62 - 1, SchemeParams(0.5, 1, (0.5,))) == (2**61 - 1, "suffix")
+        assert partition(TILDE0, 2**62 - 1, SchemeParams(0.5, 1, (0.5,))) == 2**61 - 1
 
 
 def walk_all_outputs(k, n, delta, depth):
@@ -311,8 +307,8 @@ def walk_all_outputs(k, n, delta, depth):
         a = hi - lo
         if a == 1 or d == depth:
             continue
-        zc, side = partition(label, a, params)
-        zl, zh = (lo, lo + zc) if side == "prefix" else (hi - zc, hi)
+        zc = partition(label, a, params)
+        zl, zh = (hi - zc, hi) if label == TILDE0 else (lo, lo + zc)
         new_runs = []
         for i, m in enumerate(range(lo, hi)):
             r = runs[i] + 1 if zl <= m < zh else 0
@@ -323,7 +319,7 @@ def walk_all_outputs(k, n, delta, depth):
         if zc > 0:
             stack.append(((zl, zh, next_label(label, 0, k), new_runs[zl - lo:zh - lo]), d + 1))
         if zc < a:
-            nl, nh = (lo + zc, hi) if side == "prefix" else (lo, hi - zc)
+            nl, nh = (lo, hi - zc) if label == TILDE0 else (lo + zc, hi)
             stack.append(((nl, nh, next_label(label, 1, k), new_runs[nl - lo:nh - lo]), d + 1))
 
 
@@ -356,22 +352,22 @@ class TestSessionProperties:
         n = 2 + n % (2 ** log2_n - 1)
         m %= n
         coder = ArrayCodec(params)
-        sess = SchemeSession.start(params, n)
-        labels, lo, hi = np.array([sess.label]), np.array([0]), np.array([n])
+        label, s_lo, s_hi = label_of(0), 0, n  # the scalar session
+        labels, lo, hi = np.array([label]), np.array([0]), np.array([n])
         x_seq, sizes = [], []
-        while sess.live.size > 1 and len(x_seq) < self.MAX_USES:
-            sizes.append(sess.live.size)
+        while s_hi - s_lo > 1 and len(x_seq) < self.MAX_USES:
+            sizes.append(s_hi - s_lo)
             erased = len(x_seq) < len(pattern) and pattern[len(x_seq)]
             x, labels, lo, hi = coder.step(labels, lo, hi, np.array([m]), np.array([erased]))
-            xi = input_bit(sess, m)
+            xi = input_bit(label, s_lo, s_hi, m, params)
             y = None if erased else xi
-            sess.live = update_live(sess.live, sess.label, y, params)
-            sess.label = next_label(sess.label, y, k)
-            assert (x[0], labels[0], lo[0], hi[0]) == (xi, sess.label, sess.live.lo, sess.live.hi)
-            assert m in sess.live
+            s_lo, s_hi = update_live(label, s_lo, s_hi, y, params)
+            label = next_label(label, y, k)
+            assert (x[0], labels[0], lo[0], hi[0]) == (xi, label, s_lo, s_hi)
+            assert s_lo <= m < s_hi
             x_seq.append(xi)
-        if sess.live.size == 1:
-            assert sess.live.lo == m
+        if s_hi - s_lo == 1:
+            assert s_lo == m
         assert first_violation(RllConstraint(0, k), x_seq) is None
         # at every live size met, the '0' prefix of each L(j) and the '0'
         # suffix of Tilde0 fit side by side (zero_counts equals partition)
