@@ -26,6 +26,7 @@ the same state and cut for many sessions at once, on int64 arrays.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -75,6 +76,7 @@ def partition(label: int, live_size: int, params: SchemeParams) -> int:
     The block is a suffix of the live set under Tilde0 and a prefix
     under every L(j); L(k) returns 0, as its input is forced to '1'.
     """
+    live_size = operator.index(live_size)
     if live_size < 1:
         raise ValueError(f"live_size must be positive, got {live_size}")
     k = params.k
@@ -180,7 +182,9 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         UseBudgetExceeded: max_uses hit before the interval is a singleton.
         DomainError: some delta_j > 1/2, which would let the '0' blocks
             of L(j) and Tilde0 overlap, or no cap where one is needed.
+        TypeError: m or n_messages is not an int (numpy integers are).
     """
+    m, n_messages = operator.index(m), operator.index(n_messages)
     if n_messages < 2:
         raise ValueError(f"need at least 2 messages, got {n_messages}")
     if not 0 <= m < n_messages:

@@ -20,15 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from rllbec import RllConstraint, SchemeParams, capacity_curve
+from rllbec import INF, RllConstraint, SchemeParams, capacity_curve
 from rllbec import capacity as cap
 from rllbec.capacity import DomainError, _check_eps, _check_k, h2
 from rllbec.cli import cmd_capacity, cmd_oracle, cmd_simulate, cmd_sweep, cmd_validate
 
 
 def adjacency(c: RllConstraint) -> np.ndarray:
-    """0/1 transition matrix of the state walk (row = from, column = to)."""
-    n = c.num_states
+    """0/1 transition matrix of the constraint graph (row = from, column = to).
+
+    State s counts the '0's since the last '1', capped at k, or at d for k = inf.
+    """
+    n = int(c.k if c.k != INF else c.d) + 1
     a = np.zeros((n, n))
     for s in range(n):
         if s < c.k:

@@ -278,6 +278,8 @@ class TestTransmit:
             transmit_message(0, 1, params_k1(), lambda x: x)
         with pytest.raises(DomainError):
             transmit_message(0, 8, SchemeParams(0.0, 1, (0.7,)), lambda x: x)
+        with pytest.raises(TypeError):  # a message count is an int, not 8.0
+            transmit_message(0, 8.0, params_k1(), lambda x: x)
 
     def test_exact_split_above_float_precision(self):
         # floor(0.5 * a) in float64 rounds up for odd a > 2**53, which made
@@ -290,6 +292,16 @@ class TestTransmit:
         assert m_hat == m
         assert first_violation(RllConstraint(0, 1), x_seq) is None
         assert partition(TILDE0, 2**62 - 1, SchemeParams(0.5, 1, (0.5,))) == 2**61 - 1
+
+    @pytest.mark.parametrize("n", [np.int64(2**40), np.int64(2**62), np.uint64(2**62)])
+    def test_numpy_integer_sizes_equal_python_ints(self, n):
+        # p * live_size with p up to 2**53 wrapped in int64 above sizes of
+        # about 2**10, so a session on numpy sizes cut at the wrong place
+        params = feedback_capacity(0.3, 2).argmax
+        for label in range(params.k + 2):
+            assert partition(label, n, params) == partition(label, int(n), params)
+        got = transmit_message(n - 5, n, params, lambda x: x, max_uses=200)
+        assert got == transmit_message(int(n) - 5, int(n), params, lambda x: x, max_uses=200)
 
 
 def walk_all_outputs(k, n, delta, depth):

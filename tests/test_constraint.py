@@ -1,20 +1,14 @@
-"""Constraint walk: legality, violation positions, graph capacity."""
+"""Constraint check: legality, violation positions, graph capacity."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rllbec import (
-    INF,
-    IllegalEdge,
-    RllConstraint,
-    first_violation,
-    initial_state,
-    next_state,
-    validate_sequence,
-)
+from rllbec import INF, RllConstraint, first_violation
 
 from oracles import noiseless_capacity
 
@@ -25,7 +19,7 @@ def scan_first_violation(d, k, bits):
     """Independent oracle: plain run-length bookkeeping, no state cap.
 
     The fictitious run of d zeros before the sequence encodes the same
-    pre-history convention the walk uses.
+    pre-history convention first_violation uses.
     """
     run = d
     for pos, b in enumerate(bits, start=1):
@@ -41,12 +35,6 @@ def scan_first_violation(d, k, bits):
 
 
 class TestRllConstraint:
-    def test_num_states(self):
-        assert RllConstraint(0, 2).num_states == 3
-        assert RllConstraint(2, INF).num_states == 3
-        assert RllConstraint(1, 2).num_states == 3
-        assert RllConstraint(0, 1).num_states == 2
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             RllConstraint(-1, 2)
@@ -57,47 +45,22 @@ class TestRllConstraint:
         with pytest.raises(ValueError):
             RllConstraint(0, 2.5)
 
-    def test_initial_state(self):
-        assert initial_state(RllConstraint(0, 3)) == 0
-        assert initial_state(RllConstraint(2, INF)) == 2
-        assert initial_state(RllConstraint(1, 2)) == 1
-
-
-class TestNextState:
-    def test_zero_advances_and_caps(self):
-        c = RllConstraint(0, 3)
-        assert next_state(c, 0, 0) == 1
-        assert next_state(c, 2, 0) == 3
-        c = RllConstraint(2, INF)
-        assert next_state(c, 2, 0) == 2  # capped, further zeros change nothing
-
-    def test_one_resets(self):
-        assert next_state(RllConstraint(0, 3), 2, 1) == 0
-
-    def test_illegal_edges(self):
-        with pytest.raises(IllegalEdge):
-            next_state(RllConstraint(0, 2), 2, 0)  # third zero in a row
-        with pytest.raises(IllegalEdge):
-            next_state(RllConstraint(2, INF), 1, 1)  # '1' too early
-        with pytest.raises(ValueError):
-            next_state(RllConstraint(0, 2), 0, 2)
-
 
 class TestValidation:
     def test_known_sequences(self):
         c02 = RllConstraint(0, 2)
-        assert validate_sequence(c02, [1, 0, 1, 0, 0])
+        assert first_violation(c02, [1, 0, 1, 0, 0]) is None
         assert first_violation(c02, [1, 0, 0, 0]) == 4
         c2inf = RllConstraint(2, INF)
         assert first_violation(c2inf, [1, 1, 0, 1]) == 2
-        assert validate_sequence(c2inf, [1, 0, 0, 1, 0, 0, 0])
+        assert first_violation(c2inf, [1, 0, 0, 1, 0, 0, 0]) is None
         c12 = RllConstraint(1, 2)
-        assert validate_sequence(c12, [1, 0, 1, 0, 0, 1])
+        assert first_violation(c12, [1, 0, 1, 0, 0, 1]) is None
         assert first_violation(c12, [1, 1]) == 2
         assert first_violation(c12, [0, 0]) == 2  # pre-history '1' one step back
 
     def test_empty_sequence_is_valid(self):
-        assert validate_sequence(RllConstraint(1, 3), [])
+        assert first_violation(RllConstraint(1, 3), []) is None
 
     @pytest.mark.parametrize("d,k", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, INF), (2, INF), (3, INF)])
     def test_exhaustive_agreement_with_scanner(self, d, k):
@@ -105,6 +68,31 @@ class TestValidation:
         for n in range(13):
             for bits in itertools.product((0, 1), repeat=n):
                 assert first_violation(RllConstraint(d, k), bits) == scan_first_violation(d, k, bits)
+
+    @settings(database=None, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda d: st.tuples(
+               st.just(d), st.one_of(st.integers(d + 1, 40), st.just(INF)))),
+           st.lists(st.tuples(st.integers(0, 1), st.integers(1, 45)), max_size=40).map(
+               lambda runs: [b for b, n in runs for _ in range(n)][:300]))
+    def test_long_runs_agree_with_scanner(self, dk, bits):
+        # up to 300 bits, drawn as runs of up to 45 equal bits: runs longer
+        # than the exhaustive test's 12 bits, at k up to 40
+        d, k = dk
+        assert first_violation(RllConstraint(d, k), bits) == scan_first_violation(d, k, bits)
+
+    @pytest.mark.parametrize("bits", [[0, 2], [1, -1], [0, 0.5]])
+    def test_rejects_a_non_bit(self, bits):
+        with pytest.raises(ValueError):
+            first_violation(RllConstraint(0, 2), bits)
+
+    def test_stops_at_the_violating_symbol(self):
+        # validate passes a generator; the scan must not read past the violation
+        def bits():
+            yield from (1, 0, 0, 0)
+            raise AssertionError("read past the violation")
+
+        assert first_violation(RllConstraint(0, 2), bits()) == 4
+        assert first_violation(RllConstraint(2, INF), iter([1, 0, 1, "never read"])) == 3
 
 
 class TestNoiselessCapacity:
