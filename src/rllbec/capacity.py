@@ -13,11 +13,15 @@ R <- N(x)/D(x) is the Newton step R + F(R)/D(x), since F'(R) = -D(x). For
 the (0,k) rate, F has a backward recursion over the k stages with a
 closed form at each one (_zero_run); the same pass sums D, so no entropy
 is evaluated, and F(R) <= 0 certifies rate <= R over the whole cube
-[0, 1]^k. The grid oracle runs the same recursion with each stage
-maximized over a grid axis. nc_capacity_d_inf and capacity_12 are the
-k = 1 rate at a rescaled weight (_as_zero_run). fb_upper_2inf maximizes
-N - R*D with one stage per node, at the shift that the constraint's
-multiplier adds; the same loop finds that multiplier.
+[0, 1]^k. A zero-run climb starts at the closed-form rate of x = (1/2,
+..., 1/2), the first Newton step from 0 (_zero_run_start), and stops
+once F(R) <= 2^-52: as D >= 1, the root then lies within 2^-52 above R.
+The grid oracle runs the same recursion with each stage maximized over
+a grid axis, from 0 until F(R) <= 0. nc_capacity_d_inf and capacity_12
+are the k = 1 rate at a rescaled weight (_as_zero_run). fb_upper_2inf
+maximizes N - R*D with one stage per node, at the shift that the
+constraint's multiplier adds; the same loop finds that multiplier, and
+both climb until F(R) <= 0.
 
 The loop and the one zero-run recursion run on a float, for the point
 solvers and the grid oracle, or on a stack of arrays by epsilon, one row
@@ -42,8 +46,9 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a formula."""
 
 
-_MAX_STEPS = 1000  # caps every Newton loop; the longest, nc-dinf at the largest float d, takes 709
+_MAX_STEPS = 1000  # caps every Newton loop; the longest, nc-dinf at the largest float d, takes 707
 _MARGIN = 1e-14  # added to a Dinkelbach level to cover the rounding of the ratio
+_ROUNDING = 2.0 ** -52  # F(R) at which a zero-run climb stops; as F' <= -1, the root is that close
 _MAX_AXIS = 10 ** 7  # grid points per axis of the grid oracle
 _MAX_K = 10 ** 5  # longest zero run k: every solve, grid pass and codec step costs O(k)
 _LN2 = math.log(2.0)
@@ -201,7 +206,7 @@ def stationarity_residual(params: SchemeParams) -> float:
     return worst
 
 
-def _dinkelbach(maximizer, level=0.0):
+def _dinkelbach(maximizer, level=0.0, threshold=0.0):
     """Root of a convex decreasing F by Newton's method from below, for one
     point or an array.
 
@@ -210,15 +215,17 @@ def _dinkelbach(maximizer, level=0.0):
     F(R) = max_x N - R*D and r = R + F/D(x) at the maximizing x, since
     F'(R) = -D(x). fb_upper_2inf's multiplier is the one other root.
     Starting at level, below the root, R <- r climbs superlinearly and
-    never passes it. With floats, the loop stops once F(R) <= 0, which
-    proves R is the root, or R stops rising; with arrays, each entry stops
-    on its own in the same way and keeps its level while the others rise.
-    The last call to maximizer is always at the returned level. An entry
-    still rising after _MAX_STEPS steps raises RuntimeError.
+    never passes it. With floats, the loop stops once F(R) <= threshold,
+    or R stops rising; with arrays, each entry stops on its own in the
+    same way and keeps its level while the others rise. At threshold 0
+    the stop proves R is the root; where F' <= -1, as for every zero run
+    (D >= 1), it proves the root lies within threshold above R. The last
+    call to maximizer is always at the returned level. An entry still
+    rising after _MAX_STEPS steps raises RuntimeError.
     """
     surplus, r = maximizer(level)
     for _ in range(_MAX_STEPS):
-        rising = (surplus > 0.0) & (r > level)
+        rising = (surplus > threshold) & (r > level)
         if isinstance(rising, np.ndarray):
             if not np.count_nonzero(rising):
                 break
@@ -229,7 +236,7 @@ def _dinkelbach(maximizer, level=0.0):
             break
         surplus, r = maximizer(level)
     else:
-        if np.any((surplus > 0.0) & (r > level)):
+        if np.any((surplus > threshold) & (r > level)):
             raise RuntimeError(f"Newton iteration still rising after {_MAX_STEPS} steps")
     return level
 
@@ -291,6 +298,25 @@ def _zero_run(weight, k, level, stage, point=None):
     return surplus, level + surplus / (1.0 + t)
 
 
+def _zero_run_start(weight, k):
+    """The zero-run rate at delta = (1/2, ..., 1/2), where _dinkelbach's
+    first Newton step from level 0 lands.
+
+    At level 0 every stage of _zero_run has a <= 0, so x = 1/2 and u_i =
+    1 + h*u_{i+1} with h = w/2: u_0 = g = sum_{i<k} h^i, D = 1 + h*g and r =
+    w*g/(1 + h*g). g = k at h = 1, which the k = 1 rate reaches at nc-dinf
+    d = 2, eps = 0. The rate of a feasible point, so at most the root.
+    weight is a float with k an int, or an array of rows with each row's k.
+    """
+    h = weight / 2.0
+    if isinstance(k, int):
+        g = (1.0 - h ** k) / (1.0 - h) if h != 1.0 else float(k)
+    else:
+        k = np.array(k, dtype=float)[:, None]
+        g = np.divide(1.0 - h ** k, 1.0 - h, out=k + np.zeros_like(h), where=h != 1.0)
+    return weight * g / (1.0 + h * g)
+
+
 def _as_zero_run(name, eb, param):
     """(k, weight, scale) such that curve name at 1 - eps = eb is the
     maximum of the zero-run rate of _zero_run divided by scale.
@@ -321,7 +347,8 @@ def _solve(name, epsilon, param=None) -> CapacityResult:
     _check_eps(epsilon)
     k, weight, scale = _as_zero_run(name, 1.0 - epsilon, param)
     delta = [0.0] * k
-    value = _dinkelbach(lambda level: _zero_run(weight, k, level, _stage, delta)) / scale
+    value = _dinkelbach(lambda level: _zero_run(weight, k, level, _stage, delta),
+                        _zero_run_start(weight, k), _ROUNDING) / scale
     params = SchemeParams(epsilon, k, delta)
     return CapacityResult(value, params, stationarity_residual(params), value + _MARGIN)
 
@@ -494,10 +521,10 @@ _BLOCK = 4096  # cells solved in one stack; larger stacks ran slower than one co
 
 
 def _zero_run_stack(ks, weights):
-    """A maximizer for _dinkelbach, and its start, whose row j is _zero_run
-    at ks[j] (descending) and weights[j] with numpy stages. A row whose
-    level has not moved since the last call has stopped for good: it keeps
-    its (F, r) and is not solved again."""
+    """A maximizer for _dinkelbach, and its start (_zero_run_start), whose
+    row j is _zero_run at ks[j] (descending) and weights[j] with numpy
+    stages. A row whose level has not moved since the last call has
+    stopped for good: it keeps its (F, r) and is not solved again."""
     weight, surplus, r, last = np.array(weights), None, None, None
 
     def maximizer(level):
@@ -509,7 +536,7 @@ def _zero_run_stack(ks, weights):
         else:
             surplus[rows], r[rows] = _zero_run(weight[rows], [ks[j] for j in rows], level[rows], _stage_array)
         return surplus, r
-    return maximizer, np.zeros(weight.shape)
+    return maximizer, _zero_run_start(weight, ks)
 
 
 def capacity_curves(columns, epsilons) -> list:
@@ -532,7 +559,7 @@ def capacity_curves(columns, epsilons) -> list:
     size = max(1, _BLOCK // max(eb.size, 1))
     for b in range(0, len(runs), size):
         ks, weights, scales, js = zip(*runs[b:b + size])
-        for j, scale, row in zip(js, scales, _dinkelbach(*_zero_run_stack(ks, weights))):
+        for j, scale, row in zip(js, scales, _dinkelbach(*_zero_run_stack(ks, weights), _ROUNDING)):
             out[j] = (row / scale).reshape(eps.shape)
     return out
 

@@ -204,9 +204,11 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
 
 def zero_run_curve(name, epsilons, param=None) -> np.ndarray:
     """capacity_curve of one fb0k, nc-dinf or cap-12 column, solved on its
-    own: one _dinkelbach over the column, whose maximizer is a plain
-    backward pass of the column's k numpy stages (not capacity._zero_run),
-    every entry evaluated until all stop."""
+    own: one _dinkelbach over the column, from the closed-form start
+    _zero_run_start and with the stop F(R) <= 2^-52 that the package's
+    solvers take, whose maximizer is a plain backward pass of the column's
+    k numpy stages (not capacity._zero_run), every entry evaluated until
+    all stop."""
     eps = np.array(epsilons, dtype=float, ndmin=1)
     k, weight, scale = cap._as_zero_run(name, 1.0 - eps, param)
 
@@ -218,7 +220,7 @@ def zero_run_curve(name, epsilons, param=None) -> np.ndarray:
         surplus = weight * u - level
         return surplus, level + surplus / (1.0 + t)
 
-    return cap._dinkelbach(maximizer, np.zeros_like(eps)) / scale
+    return cap._dinkelbach(maximizer, cap._zero_run_start(weight[None], [k])[0], 2.0 ** -52) / scale
 
 
 def sweep_text(curves, grid, ks=(), ds=(), fmt="csv") -> str:

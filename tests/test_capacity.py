@@ -286,6 +286,15 @@ class TestCertificate:
             assert 0.0 < res.upper - res.value <= 1e-12
             assert dual_mp(eps, k, res.upper) < 0
 
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_value_within_two_ulps_of_the_root(self, k):
+        # F > 0 below the value and F < 0 above it, at 50 digits: the climb
+        # did not pass the root, and its stop at F(R) <= 2^-52 left the
+        # value within 2^-51 of it, closer than upper's 1e-14
+        for eps in [i / 20 for i in range(20)] + [0.999]:
+            value = feedback_capacity(eps, k).value
+            assert dual_mp(eps, k, value - 2.0 ** -51) > 0 > dual_mp(eps, k, value + 2.0 ** -51)
+
     @pytest.mark.parametrize("k", [1000, 10 ** 5])
     def test_upper_bound_holds_at_large_k(self, k):
         # the 50-digit check above stops at k = 256; k goes to 10^5
@@ -346,6 +355,34 @@ class TestDinkelbach:
         assert capacity._dinkelbach(climb, np.array([0.0, top - 5.0])).tolist() == [top, top]
         with pytest.raises(RuntimeError, match="still rising"):
             capacity._dinkelbach(climb, -1.0)
+
+
+EB = 1.0 - np.linspace(0.0, 1.0, 101)
+# fb0k's weight at its k, and k = 1 at the nc-dinf weights, h = w/2 = 1 at
+# d = 2, eps = 0, and at cap-12's
+START_ROWS = ([(k, EB) for k in (1, 2, 64, 10 ** 5)] + [(1, d * EB) for d in (2, 3, 10 ** 6)]
+              + [(1, EB / (1.0 + EB * EB))])
+
+
+class TestZeroRunStart:
+    @pytest.mark.parametrize("k, weight", START_ROWS)
+    def test_is_the_first_newton_step(self, k, weight):
+        # the closed form against the first step from level 0, in one
+        # stacked pass and in a float pass per entry (every 25th at k =
+        # 10^5), and at most 2^-52 above the root that the climb from 0
+        # reaches
+        def within_two_ulps(a, b):
+            return abs(a - b) <= 2.0 * np.spacing(np.maximum(a, b))
+
+        start = capacity._zero_run_start(weight[None], [k])
+        assert np.all(within_two_ulps(start, capacity._zero_run(
+            weight[None], [k], np.zeros_like(start), _stage_array)[1]))
+        for w, first in list(zip(weight, start[0]))[::25 if k > 1000 else 1]:
+            w = float(w)
+            assert capacity._zero_run_start(w, k) == first
+            assert within_two_ulps(first, capacity._zero_run(w, k, 0.0, _stage)[1])
+            root = capacity._dinkelbach(lambda level: capacity._zero_run(w, k, level, _stage))
+            assert first <= root + 2.0 ** -52
 
 
 # the perfbench sweep grid, unshifted and shifted as at seed 7
@@ -491,11 +528,13 @@ class TestCapacityCurves:
     def test_finished_columns_leave_the_loop(self, monkeypatch):
         # the perfbench sweep columns at seed 0 take 518 stage calls one
         # column at a time; stacked, a row that has stopped leaves the
-        # loop, so the k = 64 row soon runs alone (250 calls)
+        # loop, so the k = 64 row soon runs alone (250 calls); from the
+        # closed-form first step, with the stop at F(R) <= 2^-52, the level-0
+        # pass and the last confirming pass go too (121 calls)
         calls = []
         monkeypatch.setattr(capacity, "_stage_array", lambda a: calls.append(a.shape) or _stage_array(a))
         capacity_curves(TestCapacityCurve.COLUMNS, cli._parse_grid("0.0:1:0.02"))
-        assert len(calls) <= 260
+        assert len(calls) <= 130
 
     def test_domain_before_solving(self, monkeypatch):
         def solve(*args):
