@@ -56,20 +56,16 @@ _LOG2E = 1.0 / _LN2
 
 
 def h2(p):
-    """Binary entropy in bits; accepts a scalar or an array over [0, 1]."""
+    """Binary entropy in bits, of a scalar or an array over [0, 1]. h2(delta_j)
+    is what an unerased use delivers under rule l_j; rate() averages it over
+    the labeling chain's law."""
     arr = np.asarray(p, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):  # nan fails both
         raise DomainError(f"entropy argument outside [0, 1]: {p!r}")
-    # -(q log2 q + (1 - q) log2(1 - q)) inside (0, 1) and +0.0 elsewhere,
-    # in three input-sized arrays
-    inner = (arr > 0.0) & (arr < 1.0)
-    out = np.log2(arr, out=np.zeros_like(arr), where=inner)
-    np.multiply(out, arr, out=out, where=inner)
-    rest = np.subtract(1.0, arr, out=np.zeros_like(arr), where=inner)
-    log_rest = np.log2(rest, out=np.zeros_like(arr), where=inner)
-    np.multiply(log_rest, rest, out=log_rest, where=inner)
-    np.add(out, log_rest, out=out, where=inner)
-    np.negative(out, out=out, where=inner)
+    # +0.0 at the ends, where the formula reads 0 * -inf = nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where((arr > 0.0) & (arr < 1.0),
+                       -(np.log2(arr) * arr + np.log2(1.0 - arr) * (1.0 - arr)), 0.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -131,22 +127,21 @@ class CapacityResult:
     upper: float
 
 
-def rate(params: SchemeParams) -> float:
-    """Bits per channel use achieved by a parameter vector.
+def _products(epsilon, delta) -> np.ndarray:
+    """p_0 = 1 and p_j = (1-eps)^j * delta_0 ... delta_{j-1} for 1 <= j <= k:
+    the chance that a session reaches run length j without an erasure."""
+    return np.cumprod(np.concatenate(([1.0], (1.0 - epsilon) * np.array(delta))))
 
-    Each term of the numerator weighs the entropy of delta_i by the
-    probability that a session reaches run length i without an erasure;
-    the denominator is the expected renewal time back to run length 0.
+
+def rate(params: SchemeParams) -> float:
+    """Bits per channel use achieved by a parameter vector:
+    (1-eps) * sum_{j<k} p_j * h2(delta_j) / sum_{j<=k} p_j over the
+    products p, the mean entropy delivered per use under the labeling
+    chain's law (markov.stationary), where rule l_j holds p_j / sum p
+    (~l0 and l0 share j = 0) and l_k, which sends '1' surely, adds 0.
     """
-    eb = 1.0 - params.epsilon
-    num = tail = 0.0
-    before = 1.0  # prod_{m<i} delta_m
-    for i, d in enumerate(params.delta, start=1):
-        power = eb ** i
-        num += power * h2(d) * before
-        before *= d
-        tail += power * before
-    return num / (1.0 + tail)
+    p = _products(params.epsilon, params.delta)
+    return float((1.0 - params.epsilon) * (p[:-1] @ h2(params.delta)) / p.sum())
 
 
 def delta_chain(delta_last, epsilon, k):

@@ -199,7 +199,7 @@ def cmd_validate(args) -> int:
         if bad:
             print(f"error: non-bit characters {sorted(bad)} in {line!r}", file=sys.stderr)
             return 2
-        pos = first_violation(cons, (int(ch) for ch in line))
+        pos = first_violation(cons, [int(ch) for ch in line])
         if pos is None:
             print("ok")
         else:

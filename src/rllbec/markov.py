@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import codec
-from .capacity import SchemeParams
+from .capacity import SchemeParams, _products
 
 __all__ = ["build_labeling_chain", "stationary"]
 
@@ -24,19 +24,20 @@ def stationary(epsilon: float, delta) -> np.ndarray:
     """Stationary law of build_labeling_chain(epsilon, delta), in closed form.
 
     Every rule reaches L(0), so the chain has one closed class and one
-    law. With p_0 = 1, p_j = (1-eps)^j * delta_0 ... delta_{j-1} (the
-    products in the rate's denominator) and A = 1 / sum_{j<=k} p_j:
+    law. With the products p_j = (1-eps)^j * delta_0 ... delta_{j-1} that
+    capacity.rate() shares (_products) and A = 1 / sum_{j<=k} p_j:
 
         pi(l_j) = A * p_j                                  for 1 <= j <= k
         pi(~l0) = eps * (A + sum_{1<=j<k} pi(l_j)) / (1 + eps)
         pi(l0)  = A - pi(~l0)
 
     A is the mass of {~l0, l0}, the two rules that lead to l1; ~l0 is
-    entered by an erasure under l0, ..., l(k-1).
+    entered by an erasure under l0, ..., l(k-1). The rate is this law's
+    mean delivered entropy, (1-eps) * sum_rule pi(rule) * h2(delta_rule).
     """
     delta = _checked_delta(epsilon, delta)
     k = len(delta)
-    p = np.cumprod(np.concatenate(([1.0], (1.0 - epsilon) * np.array(delta))))
+    p = _products(epsilon, delta)
     pi = np.empty(k + 2)
     pi[1:] = p / p.sum()
     pi[0] = epsilon * (pi[1] + pi[2:k + 1].sum()) / (1.0 + epsilon)

@@ -70,7 +70,7 @@ class TestH2:
             h2([0.5, float("nan")])
 
     def test_traced_memory_peak(self):
-        # three input-sized float arrays (24 MB) and the boolean masks
+        # three input-sized float arrays (24 MB) and the boolean mask
         p = np.linspace(0.0, 1.0, 10 ** 6)
         tracemalloc.start()
         try:
@@ -129,6 +129,11 @@ class TestRate:
     def test_all_zero_parameters(self):
         # never sending '0' carries no information
         assert rate(SchemeParams(0.2, 2, (0.0, 0.0))) == 0.0
+
+    def test_longest_run_scores_its_capacity(self):
+        # one vector pass over the k + 1 products, about 20 ms at k = 10^5
+        res = feedback_capacity(0.3, 10 ** 5)
+        assert abs(rate(res.argmax) - res.value) <= 1e-12
 
 
 class TestDeltaChain:

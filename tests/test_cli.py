@@ -3,13 +3,12 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import os
 import pathlib
-import re
-import shlex
 import subprocess
 import sys
 
@@ -346,6 +345,22 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    def test_scan_gets_a_sized_sequence(self, capsys, monkeypatch):
+        # perfbench's tracer counts len(bits) symbols, which a generator lacks
+        scan, seen = cli.first_violation, []
+
+        def spy(cons, bits):
+            seen.append(bits)
+            return scan(cons, bits)
+
+        monkeypatch.setattr(cli, "first_violation", spy)
+        self.feed(monkeypatch, "0101\n00\n\n")
+        assert run_cli(capsys, ["validate", "--k", "1"]) == (1, "ok\nviolation:2\nok\n", "")
+        self.feed(monkeypatch, "0110\n")
+        assert run_cli(capsys, ["validate", "--d", "1", "--k", "2"]) == (1, "violation:3\n", "")
+        assert seen == [[0, 1, 0, 1], [0, 0], [], [0, 1, 1, 0]]
+        assert all(isinstance(bits, list) for bits in seen)
+
 
 class TestKBound:
     # k above 10**5 exits 2 before any solve starts; validate's k is not
@@ -508,17 +523,13 @@ class TestParser:
 
 
 def readme_commands():
-    """Each `rllbec ...` line of README.md's sh blocks as (argv, stdin); a
-    `printf '...' |` before the command gives its stdin."""
-    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    out = []
-    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
-        for line in block.splitlines():
-            feed, _, command = line.rpartition("| ")
-            if command.startswith("rllbec "):
-                stdin = shlex.split(feed)[1].encode().decode("unicode_escape") if feed else ""
-                out.append((shlex.split(command)[1:], stdin))
-    return out
+    """Each `rllbec ...` line of README.md's sh blocks as (argv, stdin text),
+    read by tools/same_output.py's parser."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    same_output = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_output)
+    return [(argv, stdin.decode()) for argv, stdin in same_output.readme_commands()]
 
 
 class TestReadme:

@@ -13,6 +13,7 @@ from rllbec import (
     rate,
     stationary,
 )
+from rllbec import codec
 
 from oracles import FiniteChain, build_s_chain, s_chain_stationary_exact, stationary_exact
 from oracles import stationary as general_stationary
@@ -130,17 +131,27 @@ class TestLabelingChain:
         with pytest.raises(DomainError):
             build_labeling_chain(float("nan"), (0.4,))
 
+    @staticmethod
+    def mean_entropy(eps, delta):
+        # (1-eps) * sum over rules of pi(rule) * H2(delta_rule): ~l0 and l0
+        # read delta_0, l_j reads delta_j, and l_k sends '1' surely
+        k = len(delta)
+        ent = [0.0 if rule == codec.label_of(k) else h2(delta[codec.delta_index(rule)])
+               for rule in range(k + 2)]
+        return (1.0 - eps) * float(np.dot(ent, stationary(eps, delta)))
+
     @pytest.mark.parametrize("eps", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("delta", [(0.4,), (0.45, 0.3), (0.5, 0.35, 0.15)])
     def test_entropy_weighted_occupancy_equals_rate(self, eps, delta):
-        # sum over rules of (1-eps)*H2(delta_rule)*pi(rule) reproduces the
-        # closed-form rate; the forced rule contributes zero entropy and
-        # the post-erasure rule reads delta_0
-        k = len(delta)
-        pi = stationary(eps, delta)
-        ent = np.array([h2(delta[0])] + [h2(d) for d in delta] + [0.0])
-        lhs = float(((1.0 - eps) * ent * pi).sum())
-        assert abs(lhs - rate(SchemeParams(eps, k, delta))) <= 1e-9
+        assert abs(self.mean_entropy(eps, delta) - rate(SchemeParams(eps, len(delta), delta))) <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 64])
+    def test_rate_is_the_law_mean_entropy(self, k):
+        rng = np.random.default_rng(k)
+        cases = [(rng.random(), tuple(rng.random(k))) for _ in range(200)]
+        cases += [(eps, tuple(rng.choice([0.0, 0.5], k))) for eps in (0.0, 1.0) for _ in range(20)]
+        for eps, delta in cases:
+            assert abs(rate(SchemeParams(eps, k, delta)) - self.mean_entropy(eps, delta)) <= 1e-15
 
 
 class TestSChain:

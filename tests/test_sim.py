@@ -344,6 +344,13 @@ class TestLabelOccupancy:
         with pytest.raises(ValueError):
             label_occupancy_check(rep, 0.2, (0.4, 0.3))
 
+    def test_rejects_a_report_without_uses(self):
+        # max_uses=0 censors every trial before its first use
+        rep = run_feedback_sim(2, 0.3, 8, 3, seed=0, max_uses=0)
+        assert rep.total_uses == 0 and rep.censored == 3
+        with pytest.raises(ValueError, match="^report contains no channel uses$"):
+            label_occupancy_check(rep, 0.3, (0.4, 0.3))
+
 
 class TestRenewalRate:
     def test_degenerate_delta_is_zero_rate(self):
