@@ -24,10 +24,12 @@ constraint's multiplier adds; the same loop finds that multiplier, and
 both climb until F(R) <= 0.
 
 The loop and the one zero-run recursion run on a float, for the point
-solvers and the grid oracle, or on a stack of arrays by epsilon, one row
-per zero-run curve, each joining at its own k. Only the stage primitive
-differs (_stage with math, _stage_array with numpy, or a grid axis).
-Each array entry stops on its own. fb_upper_2inf runs on arrays only."""
+solvers and the grid oracle, or on arrays by epsilon. Only the stage
+primitive differs (_stage with math, _stage_array with numpy, or a grid
+axis). capacity_curves stacks its zero-run curves one row each, and
+_zero_run_rows climbs every entry on its own, each row on its own
+schedule of k-stage passes, so a stage runs once for all rows.
+fb_upper_2inf runs on arrays only."""
 
 from __future__ import annotations
 
@@ -247,15 +249,23 @@ def _stage(a):
     """
     b = a if a > 0.0 else 0.0
     x = 1.0 / (1.0 + 2.0 ** b)
-    # as np.logaddexp2(0, -b) computes it: log2(1 + 2^-b) would lose 2^-b
+    # log1p(2^-b) / ln 2, as _stage_array takes it: log2(1 + 2^-b) would lose 2^-b
     return math.log1p(2.0 ** -b) * _LOG2E + (b - a) * x, x
 
 
 def _stage_array(a):
-    """_stage of every entry of an array; a = +inf gives (0, 0)."""
-    b = np.maximum(a, 0.0)
-    x = 1.0 / (1.0 + np.exp2(b))
-    return np.logaddexp2(0.0, -b) - np.minimum(a, 0.0) * x, x
+    """_stage of every entry of an array; a = +inf gives (0, 0).
+
+    With e = 2^-b (-b = min(a, 0) - a exactly), x = e/(1 + e) and the value
+    is log1p(e)/ln 2 - min(a, 0)*x: vector ufuncs, where np.logaddexp2 runs
+    entry by entry. numpy picks their SIMD code by CPU, so a result may
+    differ from _stage's, and from one CPU to another, in the last bit.
+    (b - a)*x would be nan at a = +inf.
+    """
+    low = np.minimum(a, 0.0)
+    e = np.exp2(low - a)
+    x = e / (1.0 + e)
+    return np.log1p(e) * _LOG2E - low * x, x
 
 
 def _zero_run(weight, k, level, stage, point=None):
@@ -268,23 +278,11 @@ def _zero_run(weight, k, level, stage, point=None):
     is u_i = max_x H2(x) - a_i*x with a_i = R - w*u_{i+1} and u_k = 0;
     F(R) = w*u_0 - R. stage(a) returns that value at its maximizer and
     the maximizer. The same pass sums T_i = w*delta_i*(1 + T_{i+1}), so
-    D = 1 + T_0 and r = R + F/D. weight and level are floats or arrays, k
-    an int or, by row, each row's k in descending order: stage i runs on
-    the rows with k > i, each joining with u = t = 0, as when solved alone.
-    point, if given, is filled with the maximizers.
+    D = 1 + T_0 and r = R + F/D. k is an int; weight and level are floats
+    or arrays. point, if given, is filled with the maximizers.
     """
     u = t = 0.0
-    top, join = k, -1  # join: the next stage at which rows join
-    if not isinstance(k, int):  # level and weight hold the rows in the pass
-        top, join, q, stack = k[0], k[0] - 1, 0, (level, weight)
-    for i in range(top - 1, -1, -1):
-        if i == join:  # the rows of k = i + 1 join, from row q on
-            p, q = q, q + k.count(i + 1)
-            if p:
-                pad = np.zeros((q - p,) + level.shape[1:])
-                u, t = np.concatenate((u, pad)), np.concatenate((t, pad))
-            level, weight = (stack[0][:q], stack[1][:q]) if q < len(k) else stack
-            join = k[q] - 1 if q < len(k) else -1
+    for i in range(k - 1, -1, -1):
         u, x = stage(level - weight * u)
         t = weight * x * (1.0 + t)
         if point is not None:
@@ -515,23 +513,46 @@ CURVES = ("fb0k", "unconstrained", "nc-dinf", "fb-ub-2inf", "cap-12")
 _BLOCK = 4096  # cells solved in one stack; larger stacks ran slower than one column at a time
 
 
-def _zero_run_stack(ks, weights):
-    """A maximizer for _dinkelbach, and its start (_zero_run_start), whose
-    row j is _zero_run at ks[j] (descending) and weights[j] with numpy
-    stages. A row whose level has not moved since the last call has
-    stopped for good: it keeps its (F, r) and is not solved again."""
-    weight, surplus, r, last = np.array(weights), None, None, None
-
-    def maximizer(level):
-        nonlocal surplus, r, last
-        rows = None if last is None or len(level) == 1 else np.flatnonzero((level != last).any(axis=1))
-        every, last = rows is None or len(rows) == len(level), level
-        if every:
-            surplus, r = _zero_run(weight, ks, level, _stage_array)
-        else:
-            surplus[rows], r[rows] = _zero_run(weight[rows], [ks[j] for j in rows], level[rows], _stage_array)
-        return surplus, r
-    return maximizer, _zero_run_start(weight, ks)
+def _zero_run_rows(ks, weights):
+    """The levels at which _dinkelbach, from _zero_run_start to F(R) <=
+    _ROUNDING, leaves each entry of weights, whose row j is _zero_run at
+    ks[j] (descending) with numpy stages; each entry keeps its own levels,
+    stop and _MAX_STEPS cap. The rows of one k run one schedule of k-stage
+    passes: loop step s runs one _stage_array on the window of rows still
+    climbing, and the rows whose k divides s take their Newton step there
+    and restart from u = t = 0. So a solve costs the largest passes * k,
+    not the sum over passes of the largest k still climbing. Rows that have
+    all stopped leave the window from its end; inside it they get weight 0,
+    so their stages repeat one value and their levels stay.
+    """
+    weight = np.array(weights)
+    level = _zero_run_start(weight, ks)
+    n, shape = weight.shape[1], level.shape
+    weight, level = weight.ravel(), level.ravel()
+    groups = {}  # each k's rows, as a slice of the flat entries
+    for j, k in enumerate(ks):
+        groups[k] = slice(groups[k].start if k in groups else j * n, (j + 1) * n)
+    lv, wt, u, t, step = level, weight, 0.0, 0.0, 0  # the window, and its u and t
+    while groups:
+        step += 1
+        u, x = _stage_array(lv - wt * u)
+        t = wt * x * (1.0 + t)
+        for k in [k for k in groups if step % k == 0]:
+            rows = groups[k]
+            surplus = weight[rows] * u[rows] - level[rows]
+            r = level[rows] + surplus / (1.0 + t[rows])
+            rising = (surplus > _ROUNDING) & (r > level[rows])
+            if not np.count_nonzero(rising):
+                del groups[k]
+                weight[rows] = 0.0
+                end = max((group.stop for group in groups.values()), default=0)
+                lv, wt, u, t = level[:end], weight[:end], u[:end], t[:end]
+            elif step // k > _MAX_STEPS:
+                raise RuntimeError(f"Newton iteration still rising after {_MAX_STEPS} steps")
+            else:
+                level[rows] = np.where(rising, r, level[rows])
+                u[rows] = t[rows] = 0.0
+    return level.reshape(shape)
 
 
 def capacity_curves(columns, epsilons) -> list:
@@ -539,9 +560,9 @@ def capacity_curves(columns, epsilons) -> list:
     columns; a bad name, epsilon, k or d raises before anything is solved.
     The fb0k, nc-dinf and cap-12 columns are stacked by k descending, in
     blocks of at most _BLOCK cells (at least one row), each solved by one
-    _dinkelbach (_zero_run_stack). Each entry is within a few ulps of its
-    point solver and does not depend on the others; the memory held is a
-    few arrays of a block's size."""
+    _zero_run_rows. Each entry is within a few ulps of its point solver
+    and does not depend on the others; the memory held is a few arrays of
+    a block's size."""
     for name, _ in columns:
         if name not in CURVES:
             raise ValueError(f"unknown curve {name!r}; choose from {', '.join(CURVES)}")
@@ -554,7 +575,7 @@ def capacity_curves(columns, epsilons) -> list:
     size = max(1, _BLOCK // max(eb.size, 1))
     for b in range(0, len(runs), size):
         ks, weights, scales, js = zip(*runs[b:b + size])
-        for j, scale, row in zip(js, scales, _dinkelbach(*_zero_run_stack(ks, weights), _ROUNDING)):
+        for j, scale, row in zip(js, scales, _zero_run_rows(ks, weights)):
             out[j] = (row / scale).reshape(eps.shape)
     return out
 

@@ -38,6 +38,7 @@ __all__ = ["TILDE0", "ArrayCodec", "EmptySet", "MessageOutsideLiveSet", "UseBudg
 
 TILDE0 = 0
 _MAX_EXPECTED_USES = 1e6  # per transmission, for one without a use cap
+_CAP_PER_EXPECTED_USE = 1000  # transmit_message's default cap, in expected uses
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -152,12 +153,15 @@ def _check_safe(params: SchemeParams):
 def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses):
     """Without a use cap, the rate must promise at most 1e6 expected uses
     per transmission; a zero rate (epsilon = 1, or delta_0 = 0 without
-    erasures) never would."""
+    erasures) never would. Returns max_uses, or without one 1000 times the
+    expected uses rounded up, 1000 * ceil(log2_messages / rate)."""
     if max_uses is None:
         r = rate(params)
         if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
             raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
                               f"per transmission; set max_uses")
+        max_uses = _CAP_PER_EXPECTED_USE * math.ceil(log2_messages / r)
+    return max_uses
 
 
 def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
@@ -168,8 +172,10 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         channel: callable bit -> output (0, 1, or None for erasure).
         max_uses: optional cap on channel uses. Without one, the rate
             must promise at most 1e6 expected uses over a uniformly drawn
-            message; a given m, such as n_messages - 1 under a small
-            delta_0, can take many more.
+            message, and the cap is 1000 times that expectation,
+            1000 * ceil(log2(n_messages) / rate(params)), where a channel
+            that erases every use ends. A given m, such as n_messages - 1
+            under a small delta_0, can take several times the expectation.
         transcript: optional list collecting (x, y) pairs per use.
 
     Returns:
@@ -179,7 +185,7 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     Raises:
         ValueError: fewer than 2 messages.
         MessageOutsideLiveSet: m outside [0, n_messages).
-        UseBudgetExceeded: max_uses hit before the interval is a singleton.
+        UseBudgetExceeded: the cap hit before the interval is a singleton.
         DomainError: some delta_j > 1/2, which would let the '0' blocks
             of L(j) and Tilde0 overlap, or no cap where one is needed.
         TypeError: m or n_messages is not an int (numpy integers are).
@@ -190,10 +196,10 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
     if not 0 <= m < n_messages:
         raise MessageOutsideLiveSet(f"message {m} not in [0, {n_messages})")
     _check_safe(params)
-    _check_use_bound(params, math.log2(n_messages), max_uses)
+    max_uses = _check_use_bound(params, math.log2(n_messages), max_uses)
     label, lo, hi, x_seq = label_of(0), 0, n_messages, []
     while hi - lo > 1:
-        if max_uses is not None and len(x_seq) >= max_uses:
+        if len(x_seq) >= max_uses:
             raise UseBudgetExceeded(f"live size still {hi - lo} after {max_uses} uses")
         x = input_bit(label, lo, hi, m, params)
         y = channel(x)
@@ -222,10 +228,11 @@ class ArrayCodec:
     _cut's c, then applies input_bit, update_live and next_label; and
     zero_counts() is that of partition. The scalar functions stay the
     specification. Live sizes lie below 2**63, and the '0' block size
-    floor(delta_j * a) is exact there: a float delta_j <= 1/2 is
-    p / 2**e with p < 2**53, so b = p << (64 - e) lies below 2**64 for
-    e <= 64, and the size is the high word of b * a (mulhi), shifted right
-    by max(e - 64, 0).
+    floor(delta_j * a) is exact there: np.frexp writes a float delta_j <=
+    1/2 as p / 2**e with p < 2**53 and e >= 53, so b = p << max(64 - e, 0)
+    lies below 2**64, and the size is the high word of b * a (mulhi),
+    shifted right by max(e - 64, 0). The tables are a few numpy
+    expressions over the rule index, with no loop over the rules.
 
     Raises:
         DomainError: some delta_j > 1/2, as transmit_message does.
@@ -234,19 +241,20 @@ class ArrayCodec:
     def __init__(self, params: SchemeParams):
         _check_safe(params)
         k = params.k
-        mul = np.zeros((3, k + 2), dtype=np.uint64)  # b's low and high halves, shift
-        for label in range(k + 2):
-            if label != label_of(k):  # L(k) keeps an empty '0' block
-                num, den = params.delta[delta_index(label)].as_integer_ratio()
-                # p * a < 2**116, so e >= 116 gives 0; e <= 127 keeps the shift below 64
-                e = min(den.bit_length() - 1, 127)
-                b = num << max(64 - e, 0)
-                mul[:, label] = b & 0xFFFFFFFF, b >> 32, max(e - 64, 0)
-        self._mul = mul
-        self._bump = np.arange(k + 2) != label_of(k)
+        rule = np.arange(k + 2)
+        # delta_index of each rule; L(k), whose '0' block stays empty, reads 0
+        mant, expo = np.frexp(np.array((params.delta[0],) + params.delta + (0.0,)))
+        # delta_j = p / 2**e with p = mant * 2**53 < 2**53 and e >= 53; p * a < 2**116,
+        # so e >= 116 gives 0, and e <= 127 keeps the shift below 64
+        e = np.minimum(53 - expo, 127).astype(np.uint64)
+        b = (mant * 2.0 ** 53).astype(np.uint64) << (64 - np.minimum(e, 64))
+        self._mul = np.array([b & _LOW32, b >> 32, e - np.minimum(e, 64)])  # b's halves, shift
+        self._bump = rule != label_of(k)
         # next_label at 3 * rule + output, output 2 standing for an erasure
-        self._next = np.array([next_label(lab, y, k) for lab in range(k + 2) for y in (0, 1, None)],
-                              dtype=np.int64)
+        nxt = np.stack([np.maximum(rule, label_of(0)) + 1, np.full(k + 2, label_of(0)),
+                        np.where(rule == TILDE0, label_of(0), TILDE0)], axis=1)
+        nxt[label_of(k)] = label_of(0)
+        self._next = nxt.ravel()
 
     def zero_counts(self, labels, sizes):
         """partition(label, size, params) of each (label, size) pair."""

@@ -6,8 +6,9 @@ finite chain, by least squares and, for a chain with one closed class,
 exactly in rationals (the reference for the labeling chain's closed
 form), the zero-run chain and its closed-form law, a Monte Carlo of the renewal
 process behind nc_capacity_d_inf, a zero-run curve solved one column at a time,
-the text of `rllbec sweep` built one row dict at a time, and the CLI's argparse
-tree built one add_argument call at a time.
+the text of `rllbec sweep` built one row dict at a time, the CLI's argparse
+tree built one add_argument call at a time, and ArrayCodec's tables built one
+rule at a time.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from rllbec import INF, RllConstraint, SchemeParams, capacity_curve
+from rllbec import codec
 from rllbec import capacity as cap
 from rllbec.capacity import DomainError, _check_eps, _check_k, h2
 from rllbec.cli import cmd_capacity, cmd_oracle, cmd_simulate, cmd_sweep, cmd_validate
@@ -300,3 +302,21 @@ def reference_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", required=True, help="integer or 'inf'")
     pv.set_defaults(func=cmd_validate)
     return p
+
+
+def array_codec_tables(params: SchemeParams):
+    """(_mul, _bump, _next) of codec.ArrayCodec(params), one rule at a time:
+    each multiplier from delta_j.as_integer_ratio(), the reduced p / 2**e,
+    and the transitions from codec.next_label."""
+    k = params.k
+    mul = np.zeros((3, k + 2), dtype=np.uint64)  # b's low and high halves, shift
+    for label in range(k + 2):
+        if label != codec.label_of(k):  # L(k) keeps an empty '0' block
+            num, den = params.delta[codec.delta_index(label)].as_integer_ratio()
+            e = min(den.bit_length() - 1, 127)
+            b = num << max(64 - e, 0)
+            mul[:, label] = b & 0xFFFFFFFF, b >> 32, max(e - 64, 0)
+    bump = np.arange(k + 2) != codec.label_of(k)
+    nxt = np.array([codec.next_label(lab, y, k) for lab in range(k + 2) for y in (0, 1, None)],
+                   dtype=np.int64)
+    return mul, bump, nxt

@@ -1,7 +1,12 @@
 """Closed-form rates, the backward recursion, and the maximizers."""
 
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -252,6 +257,7 @@ class TestFeedbackCapacity:
             raise Solving
 
         monkeypatch.setattr(capacity, "_dinkelbach", solving)
+        monkeypatch.setattr(capacity, "_zero_run_rows", solving)
         solvers = (lambda k: feedback_capacity(0.3, k), lambda k: grid_argmax_rate(0.3, k, 2),
                    lambda k: capacity_curve("fb0k", [0.3], k))
         for solve in solvers:
@@ -308,19 +314,16 @@ class TestCertificate:
             assert capacity._zero_run(1.0 - eps, k, res.upper, _stage)[0] < 0
 
     def test_curves_stay_below_upper(self):
-        # one stacked pass at every column's upper, value + _MARGIN in the
-        # zero-run rate's units, gives F < 0 in every cell
+        # a pass at each column's upper, value + _MARGIN in the zero-run
+        # rate's units, gives F < 0 in every cell
         columns = ([("fb0k", k) for k in (1, 2, 64, 1000)]
                    + [("nc-dinf", d) for d in (1, 2, 3, 10 ** 6)] + [("cap-12", None)])
         eps = np.linspace(0.0, 1.0, 201)
-        runs = sorted(((*capacity._as_zero_run(name, 1.0 - eps, param), values)
-                       for (name, param), values in zip(columns, capacity_curves(columns, eps))),
-                      key=lambda run: -run[0])
-        ks, weights, scales, values = zip(*runs)
-        upper = (np.array(values) + _MARGIN) * np.array(scales)[:, None]
-        surplus = capacity._zero_run(np.array(weights), ks, upper, _stage_array)[0]
-        assert surplus.shape == (len(columns), eps.size)
-        assert np.all(surplus < 0.0)
+        for (name, param), values in zip(columns, capacity_curves(columns, eps)):
+            k, weight, scale = capacity._as_zero_run(name, 1.0 - eps, param)
+            surplus = capacity._zero_run(weight, k, (values + _MARGIN) * scale, _stage_array)[0]
+            assert surplus.shape == eps.shape
+            assert np.all(surplus < 0.0)
 
     @settings(max_examples=100, database=None, deadline=None)
     @given(st.floats(0.0, 1.0), st.lists(
@@ -379,16 +382,27 @@ class TestZeroRunStart:
         def within_two_ulps(a, b):
             return abs(a - b) <= 2.0 * np.spacing(np.maximum(a, b))
 
-        start = capacity._zero_run_start(weight[None], [k])
+        start = capacity._zero_run_start(weight[None], [k])[0]
         assert np.all(within_two_ulps(start, capacity._zero_run(
-            weight[None], [k], np.zeros_like(start), _stage_array)[1]))
-        for w, first in list(zip(weight, start[0]))[::25 if k > 1000 else 1]:
+            weight, k, np.zeros_like(start), _stage_array)[1]))
+        for w, first in list(zip(weight, start))[::25 if k > 1000 else 1]:
             w = float(w)
             assert capacity._zero_run_start(w, k) == first
             assert within_two_ulps(first, capacity._zero_run(w, k, 0.0, _stage)[1])
             root = capacity._dinkelbach(lambda level: capacity._zero_run(w, k, level, _stage))
             assert first <= root + 2.0 ** -52
 
+
+def simd_targets_above_the_lowest():
+    """numpy's SIMD dispatch targets that this CPU runs, all but the lowest."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)][1:]
+
+
+SIMD_ABOVE = simd_targets_above_the_lowest()
 
 # the perfbench sweep grid, unshifted and shifted as at seed 7
 SHIFT = (7 * 0.6180339887498949) % 1.0 / 50
@@ -415,6 +429,31 @@ class TestCapacityCurve:
             assert curve.shape == (51,)
             for eps, value in zip(grid, curve):
                 assert abs(value - self.POINT[name](eps, param)) <= 4.4e-16
+
+    @pytest.mark.skipif(not SIMD_ABOVE, reason="numpy runs one SIMD dispatch target on this CPU")
+    def test_matches_the_point_solver_on_the_lowest_simd_target(self):
+        # numpy picks the SIMD code of exp2 and log1p by CPU, and the last
+        # bit of a stacked cell with it; with every target above the lowest
+        # disabled, the perfbench sweep columns keep the same bound
+        code = ("import json, sys\n"
+                "from rllbec import capacity_curves\n"
+                "try:\n"
+                "    from numpy._core import _multiarray_umath as umath\n"
+                "except ImportError:\n"
+                "    from numpy.core import _multiarray_umath as umath\n"
+                "columns, grids, above = json.load(sys.stdin)\n"
+                "print(json.dumps([[t for t in above if umath.__cpu_features__[t]],\n"
+                "                  [[c.tolist() for c in capacity_curves(columns, g)] for g in grids]]))\n")
+        src = pathlib.Path(capacity.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(SIMD_ABOVE)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             input=json.dumps([self.COLUMNS, self.GRIDS, SIMD_ABOVE]), env=env).stdout
+        enabled, curves = json.loads(out)
+        assert enabled == []
+        for grid, columns in zip(self.GRIDS, curves):
+            for (name, param), curve in zip(self.COLUMNS, columns):
+                for eps, value in zip(grid, curve):
+                    assert abs(value - self.POINT[name](eps, param)) <= 4.4e-16
 
     def test_every_k_up_to_64(self):
         grid = self.GRIDS[1]
@@ -474,6 +513,7 @@ class TestCapacityCurve:
             raise AssertionError("solved before the domain check")
 
         monkeypatch.setattr(capacity, "_dinkelbach", solve)
+        monkeypatch.setattr(capacity, "_zero_run_rows", solve)
         monkeypatch.setattr(capacity, "fb_upper_2inf", solve)
         with pytest.raises(DomainError):
             capacity_curve(name, eps, param)
@@ -531,21 +571,55 @@ class TestCapacityCurves:
             assert values.ravel().tolist() == flat.tolist()
 
     def test_finished_columns_leave_the_loop(self, monkeypatch):
-        # the perfbench sweep columns at seed 0 take 518 stage calls one
-        # column at a time; stacked, a row that has stopped leaves the
-        # loop, so the k = 64 row soon runs alone (250 calls); from the
-        # closed-form first step, with the stop at F(R) <= 2^-52, the level-0
-        # pass and the last confirming pass go too (121 calls)
+        # the perfbench sweep columns at seed 0: from the closed-form first
+        # step and with the stop at F(R) <= 2^-52, the k = 64 row stops
+        # after one pass and the k = 32, 16, 8 and 1 rows after 2 to 5. If
+        # every pass cost the largest k still climbing, the solve would take
+        # 64 + 32 + 16 + 8 + 1 = 121 stage calls; as each row runs on its
+        # own schedule of k-stage passes, it takes the longest, 64
         calls = []
         monkeypatch.setattr(capacity, "_stage_array", lambda a: calls.append(a.shape) or _stage_array(a))
         capacity_curves(TestCapacityCurve.COLUMNS, cli._parse_grid("0.0:1:0.02"))
-        assert len(calls) <= 130
+        assert len(calls) == 64
+        assert calls[0] == (len(TestCapacityCurve.COLUMNS) * 51,)
+
+    def test_stage_calls_are_the_longest_schedule(self, monkeypatch):
+        # a column solved alone makes passes * k stage calls; stacked with
+        # rows of very different k and pass counts (the k = 1 nc-dinf row
+        # at d = 10^300 climbs for hundreds of passes), the solve makes as
+        # many as the longest of them
+        columns = [("fb0k", 1000), ("fb0k", 1), ("nc-dinf", 10 ** 300)]
+        eps = np.linspace(0.0, 1.0, 51)
+        calls = []
+        monkeypatch.setattr(capacity, "_stage_array", lambda a: calls.append(a.shape) or _stage_array(a))
+        alone = []
+        for name, param in columns:
+            zero_run_curve(name, eps, param)
+            alone.append(len(calls))
+            calls.clear()
+        assert alone[2] > 100
+        capacity_curves(columns, eps)
+        assert len(calls) == max(alone)
+
+    def test_step_cap_as_solved_alone(self, monkeypatch):
+        # the nc-dinf row at d = 10^300 takes 689 passes: the first and 688
+        # Newton steps, which a cap of 688 allows and 687 does not, stacked
+        # as alone
+        columns, eps = [("fb0k", 64), ("nc-dinf", 10 ** 300)], np.linspace(0.0, 1.0, 51)
+        monkeypatch.setattr(capacity, "_MAX_STEPS", 688)
+        for (name, param), values in zip(columns, capacity_curves(columns, eps)):
+            assert values.tobytes() == zero_run_curve(name, eps, param).tobytes()
+        monkeypatch.setattr(capacity, "_MAX_STEPS", 687)
+        for solve in (lambda: capacity_curves(columns, eps), lambda: zero_run_curve("nc-dinf", eps, 10 ** 300)):
+            with pytest.raises(RuntimeError, match="still rising after 687 steps"):
+                solve()
 
     def test_domain_before_solving(self, monkeypatch):
         def solve(*args):
             raise AssertionError("solved before the domain check")
 
         monkeypatch.setattr(capacity, "_dinkelbach", solve)
+        monkeypatch.setattr(capacity, "_zero_run_rows", solve)
         monkeypatch.setattr(capacity, "fb_upper_2inf", solve)
         for columns in ([("fb-ub-2inf", None), ("fb0k", 0)], [("fb0k", 2), ("nc-dinf", None)]):
             with pytest.raises(DomainError):

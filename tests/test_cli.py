@@ -375,6 +375,7 @@ class TestKBound:
     @pytest.mark.parametrize("argv", ARGV)
     def test_above_the_bound(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli.cap, "_dinkelbach", None)  # no solve may start
+        monkeypatch.setattr(cli.cap, "_zero_run_rows", None)
         code, out, err = run_cli(capsys, [a.format(k=100001) for a in argv])
         assert (code, out) == (2, "")
         assert err == "error: k must be at most 100000, got 100001\n"
@@ -388,6 +389,7 @@ class TestKBound:
             raise Solving
 
         monkeypatch.setattr(cli.cap, "_dinkelbach", solving)
+        monkeypatch.setattr(cli.cap, "_zero_run_rows", solving)
         with pytest.raises(Solving):
             cli.main([a.format(k=100000) for a in argv])
 

@@ -29,6 +29,8 @@ from rllbec import (
     update_live,
 )
 
+import oracles
+
 
 def params_k1(d0=0.45, eps=0.0):
     return SchemeParams(eps, 1, (d0,))
@@ -142,6 +144,33 @@ class TestArraySplit:
             m, labels, lo, hi = m[live], labels[live], lo[live], hi[live]
             sessions = [sess for sess, keep in zip(sessions, live) if keep]
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 64])
+    def test_tables_equal_the_rule_by_rule_build(self, k):
+        # the closed-form tables against one rule at a time (the reduced
+        # fraction of each delta_j and next_label): the same sizes and
+        # steps, on delta_j at the ends, subnormal, below 2**-53 and inside
+        rng = np.random.default_rng(k)
+        ref = ArrayCodec.__new__(ArrayCodec)
+        sizes = np.array(self.SIZES + rng.integers(1, 2**62, 200).tolist())
+        for delta in [(d,) * k for d in (0.0, 5e-324, 2.0**-60, 1 / 3, 0.5)] + [
+                tuple(rng.choice([0.0, 5e-324, 2.0**-60, 1 / 3, 0.5, 2.0**-64], k))]:
+            params = SchemeParams(0.3, k, delta)
+            coder = ArrayCodec(params)
+            ref._mul, ref._bump, ref._next = oracles.array_codec_tables(params)
+            assert coder._next.tolist() == ref._next.tolist()
+            assert coder._bump.tolist() == ref._bump.tolist()
+            labels = rng.integers(0, k + 2, sizes.size)
+            assert coder.zero_counts(labels, sizes).tolist() == ref.zero_counts(labels, sizes).tolist()
+            n = 1000
+            state = (np.full(n, label_of(0)), np.zeros(n, dtype=np.int64), np.full(n, n))
+            m = np.arange(n)
+            for _ in range(30):
+                erased = rng.random(n) < 0.3
+                got = coder.step(*state, m, erased)
+                want = ref.step(*state, m, erased)
+                assert all(a.tolist() == b.tolist() for a, b in zip(got, want))
+                state = got[1:]
+
     def test_rejects_unsafe_delta(self):
         with pytest.raises(DomainError):
             ArrayCodec(SchemeParams(0.0, 2, (0.4, 0.6)))
@@ -254,6 +283,23 @@ class TestTransmit:
     def test_use_budget(self):
         with pytest.raises(UseBudgetExceeded):
             transmit_message(0, 16, params_k1(eps=1.0), lambda x: None, max_uses=7)
+
+    def test_default_cap_ends_an_always_erasing_channel(self):
+        # 3 bits at rate 0.6487: 1000 * ceil(4.62) = 5,000 uses, then the cap
+        params, sent = feedback_capacity(0.3, 2).argmax, []
+        with pytest.raises(UseBudgetExceeded, match="after 5000 uses"):
+            transmit_message(3, 8, params, lambda x: sent.append(x))
+        assert len(sent) == 5000
+
+    def test_default_cap_lets_the_worst_message_finish(self):
+        # delta_0 = 0.01 without erasures: 2**20 - 1 is the last message of
+        # every L(0) split, so it takes about 1,000 uses where a uniform one
+        # takes 20 / rate = 250 on average; the cap is 1000 * 251
+        params = SchemeParams(0.0, 1, (0.01,))
+        m_hat, uses, x_seq = transmit_message(2**20 - 1, 2**20, params, lambda x: x)
+        assert m_hat == 2**20 - 1
+        assert 500 < uses < 5000
+        assert first_violation(RllConstraint(0, 1), x_seq) is None
 
     def test_refuses_a_session_without_a_cap_that_needs_one(self):
         # a subnormal delta_0 makes every L(0) '0' block a single message,

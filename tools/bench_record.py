@@ -1,7 +1,7 @@
 """Record the benchmark's end-to-end metrics of a checkout, and of its parent.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--parent DIR] [--pairs 10]
-        [--first-seed 1]
+    python3 tools/bench_record.py --out BENCH_<n>.json [--parent DIR [--control DIR]]
+        [--pairs 10] [--first-seed 1]
 
 For each workload of BENCHMARK.json and each of --pairs seeds, runs
 
@@ -10,6 +10,9 @@ For each workload of BENCHMARK.json and each of --pairs seeds, runs
 in this checkout and, given --parent (another checkout of the
 repository, such as a `git clone` of the parent commit), in that one
 too, alternating which side runs first from one pair to the next.
+--control names a second checkout of the same commit as --parent (a
+second clone); it runs as a third side of every pair, the order of the
+sides rotating by one from pair to pair.
 S is BENCHMARK.json's run_seconds. The last JSON line of each
 run gives its metrics and its attempted and failed counts.
 
@@ -22,8 +25,11 @@ parent it adds, per metric, how many pairs the checkout won (ties count
 for neither), the relative change of the medians, and each pair's
 checkout/parent ratio (None where a side did not finish or the parent
 read 0) with the median and quartiles of those ratios: a slow phase of
-the host that covers a whole pair cancels out of its ratio. Uses the
-stdlib only; progress goes to stderr.
+the host that covers a whole pair cancels out of its ratio. With a
+control it writes the same three for control against parent, under
+"control": two checkouts of one commit, so they show the spread and the
+wins that noise alone gives in this record. Uses the stdlib only;
+progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -86,10 +92,29 @@ def summary(runs, names):
     return out
 
 
+def compare(side, base, better, summaries):
+    """Per metric: the pairs that side won over base (ties count for
+    neither), each pair's side/base ratio with their quartiles, and the
+    relative change of the medians."""
+    won, ratios, change = {}, {}, {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "higher" else -1.0
+        pairs = [(s["metrics"][name], b["metrics"][name]) if "metrics" in s and "metrics" in b else None
+                 for s, b in zip(side, base)]
+        won[name] = sum(1 for pair in pairs if pair and sign * (pair[0] - pair[1]) > 0)
+        med = [summary.get(name, {}).get("median") for summary in summaries]
+        change[name] = (med[0] - med[1]) / med[1] if med[1] and med[0] is not None else None
+        rs = [pair[0] / pair[1] if pair and pair[1] else None for pair in pairs]
+        done = [x for x in rs if x is not None]
+        ratios[name] = {"ratios": rs, **(quartiles(done) if done else {})}
+    return won, ratios, change
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="path of the JSON record to write")
     ap.add_argument("--parent", help="checkout to run against, alternating with this one")
+    ap.add_argument("--control", help="a second checkout of --parent's commit, run as a third side")
     ap.add_argument("--pairs", type=int, default=10, help="seeds per workload (default 10)")
     ap.add_argument("--first-seed", type=int, default=1, help="seeds are first-seed, first-seed+1, ...")
     args = ap.parse_args(argv)
@@ -103,6 +128,12 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(args.parent, "perfbench", "run.py")):
             ap.error(f"no perfbench/run.py under {args.parent}")
         sides["parent"] = os.path.abspath(args.parent)
+    if args.control:
+        if not args.parent:
+            ap.error("--control needs --parent")
+        if not os.path.isfile(os.path.join(args.control, "perfbench", "run.py")):
+            ap.error(f"no perfbench/run.py under {args.control}")
+        sides["control"] = os.path.abspath(args.control)
 
     info = {}
     for name, tree in sides.items():
@@ -117,7 +148,7 @@ def main(argv=None) -> int:
         runs = {name: [] for name in sides}
         first = []
         for i, seed in enumerate(seeds):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            order = list(sides)[i % len(sides):] + list(sides)[:i % len(sides)]
             first.append(order[0])
             for name in order:
                 result, env = run_once(sides[name], workload, seed, seconds)
@@ -129,20 +160,15 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
         entry = {"seeds": seeds, "first": first, "runs": runs,
                  "summary": {name: summary(rs, better) for name, rs in runs.items()}}
+        summaries = entry["summary"]
         if "parent" in sides:
-            won, change, ratios = {}, {}, {}
-            for name, direction in better.items():
-                sign = 1.0 if direction == "higher" else -1.0
-                pairs = [(c["metrics"][name], p["metrics"][name]) if "metrics" in c and "metrics" in p else None
-                         for c, p in zip(runs["change"], runs["parent"])]
-                won[name] = sum(1 for pair in pairs if pair and sign * (pair[0] - pair[1]) > 0)
-                med = {s: entry["summary"][s].get(name, {}).get("median") for s in sides}
-                change[name] = ((med["change"] - med["parent"]) / med["parent"]
-                                if med["parent"] and med["change"] is not None else None)
-                rs = [pair[0] / pair[1] if pair and pair[1] else None for pair in pairs]
-                done = [x for x in rs if x is not None]
-                ratios[name] = {"ratios": rs, **(quartiles(done) if done else {})}
-            entry["pairs_won_by_change"], entry["pair_ratio"], entry["median_change_frac"] = won, ratios, change
+            (entry["pairs_won_by_change"], entry["pair_ratio"],
+             entry["median_change_frac"]) = compare(runs["change"], runs["parent"], better,
+                                                    (summaries["change"], summaries["parent"]))
+        if "control" in sides:
+            won, ratios, change = compare(runs["control"], runs["parent"], better,
+                                          (summaries["control"], summaries["parent"]))
+            entry["control"] = {"pairs_won": won, "pair_ratio": ratios, "median_change_frac": change}
         record["workloads"][workload] = entry
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
