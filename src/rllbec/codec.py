@@ -283,6 +283,6 @@ class ArrayCodec:
         lo = np.where(delivered & upper, c, lo)
         hi = np.where(delivered & ~upper, c, hi)
         empty = lo >= hi
-        if empty.any():
+        if np.count_nonzero(empty):
             raise EmptySet(f"an output empties {np.count_nonzero(empty)} live sets")
         return x, self._next.take(3 * labels + np.where(erased, 2, x)), lo, hi

@@ -4,12 +4,11 @@ rules.
 
 The trial harness steps every unfinished trial together: one channel
 use of all of them is one call of codec.ArrayCodec.step on int64
-columns. Trial t draws its message and its erasures from the two
-children of numpy's SeedSequence((seed, t)). Those streams are derived
-as uint64 columns for a whole chunk of trials, bit for bit as numpy's
-SeedSequence and PCG64 give them, and each trial's channel generator
-takes one step per use. So a report equals what one transmit_message
-per trial over a BecChannel gives.
+columns. Trial t draws its message and then one erasure decision per
+use from its own SplitMix64 stream, which depends on (seed, t) alone;
+the streams of a chunk of trials are one uint64 column. So a report
+equals what one transmit_message per trial, over a channel that replays
+the trial's stream, gives.
 """
 
 from __future__ import annotations
@@ -74,108 +73,48 @@ class SimReport:
     label_histogram: dict
 
 
-# numpy's SeedSequence (a pool of four uint32 words, numpy/random/
-# bit_generator.pyx) and PCG64 (O'Neill's 128-bit LCG with XSL-RR output)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # entropy mixing
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # state generation
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_LCG_HI, _LCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_LCG_LO_HALVES = _LCG_LO & np.uint64(0xFFFFFFFF), _LCG_LO >> np.uint64(32)
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the state steps by the odd
+# constant gamma, about 2**64 / golden ratio, and each output is a
+# bijective mix of the new state
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL_A, _MUL_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _hasher(const, mult):
-    """SeedSequence's hashmix of uint32 columns; its constant steps once per call."""
-    def hashmix(w):
-        nonlocal const
-        w = w ^ const
-        const = const * mult & 0xFFFFFFFF
-        w = w * const
-        return w ^ (w >> 16)
-    return hashmix
+def _draw(state):
+    """Step each SplitMix64 state of a uint64 array in place, and return the
+    mix of each new state: its next output."""
+    state += _GAMMA
+    z = state ^ state >> 30
+    z *= _MUL_A
+    z ^= z >> 27
+    z *= _MUL_B
+    z ^= z >> 31
+    return z
 
 
-def _mix(x, y):
-    """SeedSequence's mix of a hashed word y into the pool word x."""
-    x = x * _MIX_L - y * _MIX_R
-    return x ^ (x >> 16)
+def _streams(seed: int, t, log2_messages: int):
+    """Each trial t_i's stream (uint64 column t) after its first draw, and its
+    message: the top log2_messages bits of that draw.
 
-
-def _generator(seed: int, t, spawn: int):
-    """State of PCG64(SeedSequence((seed, t_i), spawn_key=(spawn,))) for each
-    trial index t_i (uint64 column), as the uint64 columns (hi, lo, inc_hi,
-    inc_lo) of its 128-bit state and increment.
-
-    The entropy is the uint32 words of seed, then of t_i, low words first
-    (one word for 0), zero-padded to four words, then the spawn word; a
-    t_i >= 2**32 takes two words, so the rows are grouped by t_i's count.
-    """
-    hi, lo, inc_hi, inc_lo = (np.empty(t.size, dtype=np.uint64) for _ in range(4))
-    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    wide = t > 0xFFFFFFFF
-    for t_words, rows in ((1, ~wide), (2, wide)):
-        if not rows.any():
-            continue
-        ti = t[rows]
-        size = ti.size
-        entropy = [np.full(size, w, dtype=np.uint32) for w in seed_words]
-        entropy += [(ti >> s & 0xFFFFFFFF).astype(np.uint32) for s in (0, 32)[:t_words]]
-        entropy += [np.zeros(size, dtype=np.uint32)] * (4 - len(entropy))
-        entropy.append(np.full(size, spawn, dtype=np.uint32))
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(w) for w in entropy[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for w in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], hashmix(w))
-        # generate_state(4, np.uint64): eight words cycling over the pool,
-        # paired low word first
-        hashmix = _hasher(_INIT_B, _MULT_B)
-        words = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-        s_hi, s_lo, q_hi, q_lo = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
-        # seeding: inc = 2 * (q_hi, q_lo) + 1, and from state 0 one step,
-        # adding (s_hi, s_lo), then one more step
-        c_hi, c_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
-        x_lo = c_lo + s_lo
-        x_hi, x_lo = _step(c_hi + s_hi + (x_lo < s_lo), x_lo, c_hi, c_lo)
-        hi[rows], lo[rows], inc_hi[rows], inc_lo[rows] = x_hi, x_lo, c_hi, c_lo
-    return hi, lo, inc_hi, inc_lo
-
-
-def _step(hi, lo, inc_hi, inc_lo):
-    """One step of the 128-bit LCGs: state * multiplier + inc, on uint64 halves."""
-    p_hi = codec.mulhi(lo, *_LCG_LO_HALVES) + lo * _LCG_HI + hi * _LCG_LO
-    lo = lo * _LCG_LO + inc_lo
-    return p_hi + inc_hi + (lo < inc_lo), lo
-
-
-def _next_raw(hi, lo, inc_hi, inc_lo):
-    """Each generator's next random_raw() output: step, then XSL-RR (the
-    xor of the state's halves, rotated right by its top six bits).
+    The seed's 64-bit words, low first (one word for 0), fold into a key,
+    each one as the draw from the state key ^ word, starting from key 0.
+    Trial t_i's stream starts at draw t_i + 1 from the state key, so it
+    depends on (seed, t_i) alone, and distinct trials start at distinct
+    states.
 
     Returns:
-        (hi, lo, raw): the new state halves and the outputs.
+        (m, state): int64 messages and the uint64 states.
     """
-    hi, lo = _step(hi, lo, inc_hi, inc_lo)
-    x = hi ^ lo
-    r = hi >> 58
-    return hi, lo, x >> r | x << ((64 - r) & 63)
-
-
-def _message(raw, log2_messages: int):
-    """integers(2**log2_messages) of a Generator whose next output is raw:
-    Lemire's bounded draw, which for a power of two keeps the top bits of
-    the 64-bit output, or of its low 32-bit half below 33 bits."""
-    if log2_messages > 32:
-        return (raw >> (64 - log2_messages)).astype(np.int64)
-    return ((raw & 0xFFFFFFFF) >> (32 - log2_messages)).astype(np.int64)
+    key = np.zeros(1, dtype=np.uint64)  # an array: uint64 scalars warn as they wrap
+    for s in range(0, max(seed.bit_length(), 1), 64):
+        key = _draw(key ^ (seed >> s & 0xFFFFFFFFFFFFFFFF))
+    state = _draw(key + t * _GAMMA)
+    return (_draw(state) >> (64 - log2_messages)).astype(np.int64), state
 
 
 def _erased(raw, epsilon: float):
-    """Generator.random() < epsilon for the draw of each raw output, as
-    BecChannel erases: random() is (raw >> 11) * 2**-53, so raw >> 11 <
+    """random() < epsilon for each 64-bit draw raw, where random() is
+    (raw >> 11) * 2**-53, as numpy's and BecChannel's: so raw >> 11 <
     ceil(epsilon * 2**53) exactly."""
     return raw >> 11 < np.uint64(math.ceil(epsilon * 2.0 ** 53))
 
@@ -185,16 +124,15 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
     """Run trials first, ..., first + count - 1 to their ends, all at once.
 
     Each pass of the loop is one channel use of every unfinished trial,
-    and one draw of each one's channel generator. Writes each trial's
-    uses, and whether it decoded before the cap, into `uses` and
-    `delivered`; adds the uses under each rule to `hist`.
+    and one draw of each one's stream (_streams), which _erased turns
+    into its erasure decision. Writes each trial's uses, and whether it
+    decoded before the cap, into `uses` and `delivered`; adds the uses
+    under each rule to `hist`.
 
     Returns:
         (errors, violations, erasures) among these trials.
     """
-    t = np.arange(first, first + count, dtype=np.uint64)
-    m = _message(_next_raw(*_generator(seed, t, 0))[2], log2_messages)
-    g_hi, g_lo, inc_hi, inc_lo = _generator(seed, t, 1)
+    m, state = _streams(seed, np.arange(first, first + count, dtype=np.uint64), log2_messages)
     row = np.arange(count)
     lo = np.zeros(count, dtype=np.int64)
     hi = np.full(count, 1 << log2_messages, dtype=np.int64)
@@ -208,8 +146,7 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
             uses[first + row] = step
             violations += int(np.count_nonzero(bad))
             break
-        g_hi, g_lo, raw = _next_raw(g_hi, g_lo, inc_hi, inc_lo)
-        e = _erased(raw, epsilon)
+        e = _erased(_draw(state), epsilon)
         n_erased += int(np.count_nonzero(e))
         hist += np.bincount(label, minlength=hist.size)
         x, label, lo, hi = coder.step(label, lo, hi, m, e)
@@ -217,15 +154,15 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
         bad |= run > k
         step += 1
         done = hi - lo == 1
-        if done.any():
+        if np.count_nonzero(done):
             ended = first + row[done]
             uses[ended] = step
             delivered[ended] = True
             errors += int(np.count_nonzero(lo[done] != m[done]))
             violations += int(np.count_nonzero(bad[done]))
             live = ~done
-            row, m, lo, hi, label, run, bad, g_hi, g_lo, inc_hi, inc_lo = (
-                v[live] for v in (row, m, lo, hi, label, run, bad, g_hi, g_lo, inc_hi, inc_lo))
+            row, m, lo, hi, label, run, bad, state = (
+                v[live] for v in (row, m, lo, hi, label, run, bad, state))
     return errors, violations, n_erased
 
 
@@ -237,19 +174,19 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
     All unfinished trials advance together, one channel use per step.
     The engine checks the (0,k) constraint on the bits sent, counts the
     uses under each rule and the erased uses, and compares each decoded
-    message with the sent one as the trial ends. Trial t's message is
-    default_rng(s0).integers(2**log2_messages), and its erasures are the
-    decisions of BecChannel(epsilon, s1), where s0 and s1 are the two
-    children of SeedSequence((seed, t)). The engine derives those streams
-    itself, equal to numpy's, so the report equals what transmit_message
-    over such a BecChannel gives, trial by trial.
+    message with the sent one as the trial ends. Trial t's message is the
+    top log2_messages bits of the first draw of its SplitMix64 stream,
+    and use i is erased when draw i + 1, as a uniform random() in [0, 1)
+    with 53 bits, lies below epsilon. The stream depends on (seed, t)
+    alone, so the report equals what transmit_message over a channel
+    making those decisions gives, trial by trial.
 
     Args:
         delta: explicit parameter vector, or "optimal" to use the
             capacity-achieving one.
         seed: root seed, a non-negative int; each trial derives its own
-            independent message and channel streams from (seed, trial
-            index), so reports are reproducible and order-independent.
+            stream from (seed, trial index), so reports are reproducible
+            and order-independent.
         max_uses: optional per-trial cap, a non-negative int; 0 ends
             every trial before its first use. Without one, the scheme's
             rate must promise at most 1e6 expected uses per trial; a zero

@@ -8,7 +8,8 @@ form), the zero-run chain and its closed-form law, a Monte Carlo of the renewal
 process behind nc_capacity_d_inf, a zero-run curve solved one column at a time,
 the text of `rllbec sweep` built one row dict at a time, the CLI's argparse
 tree built one add_argument call at a time, and ArrayCodec's tables built one
-rule at a time.
+rule at a time, and the SplitMix64 streams of run_feedback_sim's trials in
+Python ints.
 """
 
 import argparse
@@ -202,6 +203,36 @@ def renewal_rate_d_inf(epsilon: float, d: int, delta: float,
     ones = rng.random(horizon_symbols) < delta
     total_uses = int(waits.sum() + d * ones.sum())
     return h2(delta) * horizon_symbols / total_uses
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) in Python ints: each
+    call adds gamma to the 64-bit state and returns the mix of the new state."""
+
+    def __init__(self, state: int):
+        self.state = state & _MASK64
+
+    def __call__(self) -> int:
+        self.state = (self.state + _GAMMA) & _MASK64
+        z = self.state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
+
+
+def trial_stream(seed: int, t: int) -> SplitMix64:
+    """Trial t's stream in run_feedback_sim(..., seed=seed): the seed's
+    64-bit words, low first, fold into a key, each word as one draw from
+    the key xor the word; the trial's stream starts at draw t + 1 of the
+    stream at the key, whose state before that draw is key + t * gamma."""
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = SplitMix64(key ^ (seed >> shift & _MASK64))()
+    return SplitMix64(SplitMix64(key + t * _GAMMA)())
 
 
 def zero_run_curve(name, epsilons, param=None) -> np.ndarray:

@@ -2,6 +2,7 @@
 rule-occupancy law, and the renewal simulator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,15 +28,17 @@ from rllbec import (
     transmit_message,
 )
 
-from oracles import renewal_rate_d_inf
+from oracles import renewal_rate_d_inf, trial_stream
 
 GOLDEN = 0.6942419136306173  # log2 of the golden ratio
 
 
 def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, max_uses=None):
     """run_feedback_sim one trial at a time: the scalar codec over a
-    BecChannel per trial, then replays of each transcript for the (0,k)
-    constraint, the rule histogram and the erasure count."""
+    channel that replays the trial's stream (trial_stream: the message
+    from its first draw, then one draw per use, erased when random() <
+    epsilon), then replays of each transcript for the (0,k) constraint,
+    the rule histogram and the erasure count."""
     if delta == "optimal":
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
@@ -45,12 +48,16 @@ def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, ma
     rates = []
     total_uses = errors = violations = censored = erasures = 0
     for t in range(trials):
-        s_msg, s_ch = np.random.SeedSequence(entropy=(seed, t)).spawn(2)
-        m = int(np.random.default_rng(s_msg).integers(n))
+        stream = trial_stream(seed, t)
+        m = stream() >> (64 - log2_messages)
+
+        def channel(x):
+            return None if (stream() >> 11) * 2.0 ** -53 < epsilon else x
+
         transcript = []
         try:
             m_hat, uses, x_seq = transmit_message(
-                m, n, params, BecChannel(epsilon, s_ch), max_uses=max_uses, transcript=transcript)
+                m, n, params, channel, max_uses=max_uses, transcript=transcript)
             errors += m_hat != m
             rates.append(log2_messages / uses)
         except UseBudgetExceeded:
@@ -103,40 +110,11 @@ class TestBecChannel:
 
     @pytest.mark.parametrize("n", [1, 7, 256, 1000])
     def test_one_draw_per_use(self, n):
-        # the lockstep simulator takes one draw of each trial's channel
-        # stream per use and relies on it equalling the channel's decision
+        # each use takes one draw of the generator, erased when random() < eps
         for eps, seed in ((0.3, 1), (0.0, 2), (1.0, 3), (0.6, np.random.SeedSequence((4, 5)))):
             ch = BecChannel(eps, seed)
             expected = np.random.default_rng(seed).random(n) < eps
             assert [ch(1) is None for _ in range(n)] == expected.tolist()
-
-    def test_simulator_streams_are_numpys(self):
-        # trial t's message is the first draw of child 0, and its channel
-        # the draws of child 1, of SeedSequence((seed, t)): seeds and trial
-        # indices from 2**32 on take more entropy words, and one t array
-        # mixes both word counts
-        t = [0, 1, 2**32 - 1, 2**32, 2**40]
-        draws = 600
-        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100):
-            children = [[np.random.SeedSequence((seed, ti), spawn_key=(which,)) for ti in t]
-                        for which in (0, 1)]
-            hi, lo, inc_hi, inc_lo = sim._generator(seed, np.array(t, dtype=np.uint64), 1)
-            raw = []
-            for _ in range(draws):
-                hi, lo, r = sim._next_raw(hi, lo, inc_hi, inc_lo)
-                raw.append(r)
-            raw = np.array(raw).T
-            for row, s_ch in zip(raw, children[1]):
-                assert row.tolist() == np.random.PCG64(s_ch).random_raw(draws).tolist()
-                for eps in (0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0 ** -53, 1.0):
-                    ch = BecChannel(eps, s_ch)
-                    assert sim._erased(row, eps).tolist() == [ch(1) is None for _ in range(draws)]
-            first = sim._next_raw(*sim._generator(seed, np.array(t, dtype=np.uint64), 0))[2]
-            for log2_messages in range(1, 63):
-                m = sim._message(first, log2_messages)
-                assert m.dtype == np.int64
-                assert m.tolist() == [int(np.random.default_rng(s).integers(2**log2_messages))
-                                      for s in children[0]]
 
     def test_erasure_threshold_is_strict(self):
         # random() equal to epsilon is delivered, as in BecChannel
@@ -154,6 +132,54 @@ class TestBecChannel:
         erased = int(np.count_nonzero(np.random.default_rng(9).random(n) < 0.3))
         sigma = math.sqrt(n * 0.3 * 0.7)
         assert abs(erased - 0.3 * n) <= 3 * sigma
+
+
+class TestTrialStreams:
+    def test_streams_replay_the_reference(self):
+        # each trial's message and erasures are the draws of its stream in
+        # oracles.trial_stream: seeds from 2**64 on take more words, and the
+        # trial indices straddle 2**32
+        t = [0, 1, 2**32 - 1, 2**32, 2**40]
+        draws = 600
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100):
+            for log2_messages in range(1, 63):
+                m, state = sim._streams(seed, np.array(t, dtype=np.uint64), log2_messages)
+                assert m.dtype == np.int64
+                assert m.tolist() == [trial_stream(seed, ti)() >> (64 - log2_messages) for ti in t]
+            raw = np.array([sim._draw(state) for _ in range(draws)]).T
+            for row, ti in zip(raw, t):
+                stream = trial_stream(seed, ti)
+                stream()  # the message
+                expected = [stream() for _ in range(draws)]
+                assert row.tolist() == expected
+                for eps in (0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0 ** -53, 1.0):
+                    assert sim._erased(row, eps).tolist() == [(r >> 11) * 2.0 ** -53 < eps for r in expected]
+
+    def test_adjacent_trials_are_independent(self):
+        # a start state of key + t * gamma would make trial t + 1's stream
+        # trial t's shifted by one draw: here no draw of a trial recurs in
+        # its neighbour's stream, and the erasure decisions at eps = 1/2,
+        # as +-1, correlate within 4 sigma of 0 at lags -1, 0 and 1
+        draws = 4096
+        bound = 4 / math.sqrt(draws - 1)
+        for seed in (0, 5, 2**64 + 3):
+            for first in (0, 2**32 - 16):
+                _, state = sim._streams(seed, np.arange(first, first + 32, dtype=np.uint64), 62)
+                raw = np.array([sim._draw(state) for _ in range(draws)]).T
+                signs = np.where(sim._erased(raw, 0.5), 1.0, -1.0)
+                for a, b, sa, sb in zip(raw[:-1], raw[1:], signs[:-1], signs[1:]):
+                    assert not np.isin(a, b).any()
+                    for x, y in ((sa, sb), (sa[1:], sb[:-1]), (sa[:-1], sb[1:])):
+                        assert abs(np.mean(x * y)) <= bound
+
+    def test_large_seeds_raise_no_warning(self):
+        # numpy warns when uint64 scalars wrap, where arrays wrap silently;
+        # the key folds every 64-bit word of the seed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in (2**64 - 1, 2**64, 2**64 + 3, 2**100, 2**128 - 1, np.uint64(2**64 - 1)):
+                got = run_feedback_sim(2, 0.3, 62, 3, seed=seed)
+                assert got == reference_sim(2, 0.3, 62, 3, seed=int(seed))
 
 
 class TestRunFeedbackSim:
