@@ -143,7 +143,7 @@ def rate(params: SchemeParams) -> float:
     (~l0 and l0 share j = 0) and l_k, which sends '1' surely, adds 0.
     """
     p = _products(params.epsilon, params.delta)
-    return float((1.0 - params.epsilon) * (p[:-1] @ h2(params.delta)) / p.sum())
+    return float((1.0 - params.epsilon) * (p[:-1] * h2(params.delta)).sum() / p.sum())
 
 
 def delta_chain(delta_last, epsilon, k):

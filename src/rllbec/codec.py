@@ -150,33 +150,36 @@ def _check_safe(params: SchemeParams):
         raise DomainError(f"constraint safety needs every delta <= 1/2, got {params.delta}")
 
 
-def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses):
-    """Without a use cap, the rate must promise at most 1e6 expected uses
-    per transmission; a zero rate (epsilon = 1, or delta_0 = 0 without
-    erasures) never would. Returns max_uses, or without one 1000 times the
-    expected uses rounded up, 1000 * ceil(log2_messages / rate)."""
-    if max_uses is None:
-        r = rate(params)
-        if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
-            raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
-                              f"per transmission; set max_uses")
-        max_uses = _CAP_PER_EXPECTED_USE * math.ceil(log2_messages / r)
-    return max_uses
+def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses) -> int:
+    """The use cap of every session, in transmit_message and in each trial
+    of sim.run_feedback_sim: max_uses, which must be a non-negative int, or
+    without one 1000 * ceil(log2_messages / rate), 1000 times the expected
+    uses, which needs a rate promising at most 1e6 of them; a zero rate
+    (epsilon = 1, or delta_0 = 0 without erasures) never would."""
+    if max_uses is not None:
+        if not isinstance(max_uses, (int, np.integer)) or max_uses < 0:
+            raise DomainError(f"max_uses must be a non-negative int, got {max_uses!r}")
+        return int(max_uses)
+    r = rate(params)
+    if r == 0.0 or log2_messages / r > _MAX_EXPECTED_USES:
+        raise DomainError(f"rate {r!r} needs more than {_MAX_EXPECTED_USES:.0e} expected uses "
+                          f"per transmission; set max_uses")
+    return _CAP_PER_EXPECTED_USE * math.ceil(log2_messages / r)
 
 
 def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
-                     max_uses: int | None = None, transcript: list | None = None):
+                     max_uses: int | None = None):
     """Run one full transmission of message m out of n_messages.
 
     Args:
-        channel: callable bit -> output (0, 1, or None for erasure).
+        channel: callable bit -> output (0, 1, or None for erasure); it
+            sees every use's (x, y), so a wrapping channel can record them.
         max_uses: optional cap on channel uses. Without one, the rate
             must promise at most 1e6 expected uses over a uniformly drawn
             message, and the cap is 1000 times that expectation,
             1000 * ceil(log2(n_messages) / rate(params)), where a channel
             that erases every use ends. A given m, such as n_messages - 1
             under a small delta_0, can take several times the expectation.
-        transcript: optional list collecting (x, y) pairs per use.
 
     Returns:
         (m_hat, uses, x_seq): the decoded message (always equal to m),
@@ -187,7 +190,7 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         MessageOutsideLiveSet: m outside [0, n_messages).
         UseBudgetExceeded: the cap hit before the interval is a singleton.
         DomainError: some delta_j > 1/2, which would let the '0' blocks
-            of L(j) and Tilde0 overlap, or no cap where one is needed.
+            of L(j) and Tilde0 overlap, or a bad or missing cap (_check_use_bound).
         TypeError: m or n_messages is not an int (numpy integers are).
     """
     m, n_messages = operator.index(m), operator.index(n_messages)
@@ -204,8 +207,6 @@ def transmit_message(m: int, n_messages: int, params: SchemeParams, channel,
         x = input_bit(label, lo, hi, m, params)
         y = channel(x)
         x_seq.append(x)
-        if transcript is not None:
-            transcript.append((x, y))
         lo, hi = update_live(label, lo, hi, y, params)
         label = next_label(label, y, params.k)
     return lo, len(x_seq), x_seq

@@ -6,9 +6,9 @@ The trial harness steps every unfinished trial together: one channel
 use of all of them is one call of codec.ArrayCodec.step on int64
 columns. Trial t draws its message and then one erasure decision per
 use from its own SplitMix64 stream, which depends on (seed, t) alone;
-the streams of a chunk of trials are one uint64 column. So a report
-equals what one transmit_message per trial, over a channel that replays
-the trial's stream, gives.
+the streams of a chunk of trials are one uint64 column. Each trial runs
+to transmit_message's cap, so a report equals what one transmit_message
+per trial, over a channel that replays the trial's stream, gives.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ def _streams(seed: int, t, log2_messages: int):
     return (_draw(state) >> (64 - log2_messages)).astype(np.int64), state
 
 
-def _erased(raw, epsilon: float):
-    """random() < epsilon for each 64-bit draw raw, where random() is
-    (raw >> 11) * 2**-53, as numpy's and BecChannel's: so raw >> 11 <
-    ceil(epsilon * 2**53) exactly."""
-    return raw >> 11 < np.uint64(math.ceil(epsilon * 2.0 ** 53))
+def _threshold(epsilon: float):
+    """ceil(epsilon * 2**53) as a uint64: a 64-bit draw raw is erased when
+    raw >> 11 lies below it, which is random() < epsilon exactly for
+    random() = (raw >> 11) * 2**-53, as numpy's and BecChannel's."""
+    return np.uint64(math.ceil(epsilon * 2.0 ** 53))
 
 
 def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
@@ -124,10 +124,9 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
     """Run trials first, ..., first + count - 1 to their ends, all at once.
 
     Each pass of the loop is one channel use of every unfinished trial,
-    and one draw of each one's stream (_streams), which _erased turns
-    into its erasure decision. Writes each trial's uses, and whether it
-    decoded before the cap, into `uses` and `delivered`; adds the uses
-    under each rule to `hist`.
+    and one draw of each one's stream (_streams), erased as _threshold
+    says. Writes each trial's uses, and whether it decoded before the cap,
+    into `uses` and `delivered`; adds the uses under each rule to `hist`.
 
     Returns:
         (errors, violations, erasures) among these trials.
@@ -140,13 +139,13 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
     run = np.zeros(count, dtype=np.int64)  # trailing '0's sent
     bad = np.zeros(count, dtype=bool)      # broke the (0,k) constraint
     errors = violations = n_erased = 0
-    step = 0
+    step, threshold = 0, _threshold(epsilon)
     while row.size:
-        if max_uses is not None and step >= max_uses:
+        if step >= max_uses:
             uses[first + row] = step
             violations += int(np.count_nonzero(bad))
             break
-        e = _erased(_draw(state), epsilon)
+        e = _draw(state) >> 11 < threshold
         n_erased += int(np.count_nonzero(e))
         hist += np.bincount(label, minlength=hist.size)
         x, label, lo, hi = coder.step(label, lo, hi, m, e)
@@ -178,8 +177,8 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
     top log2_messages bits of the first draw of its SplitMix64 stream,
     and use i is erased when draw i + 1, as a uniform random() in [0, 1)
     with 53 bits, lies below epsilon. The stream depends on (seed, t)
-    alone, so the report equals what transmit_message over a channel
-    making those decisions gives, trial by trial.
+    alone, and the cap is transmit_message's: the report is what it gives
+    over a channel making those decisions, trial by trial.
 
     Args:
         delta: explicit parameter vector, or "optimal" to use the
@@ -188,9 +187,9 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
             stream from (seed, trial index), so reports are reproducible
             and order-independent.
         max_uses: optional per-trial cap, a non-negative int; 0 ends
-            every trial before its first use. Without one, the scheme's
-            rate must promise at most 1e6 expected uses per trial; a zero
-            rate (epsilon = 1, or delta_0 = 0 without erasures) never would.
+            every trial before its first use. Without one, the cap is
+            transmit_message's (codec._check_use_bound), which needs a
+            rate promising at most 1e6 expected uses per trial.
 
     Raises:
         DomainError: bad arguments (a seed or max_uses that is not a
@@ -205,15 +204,13 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     seed = int(seed)
-    if max_uses is not None and (not isinstance(max_uses, (int, np.integer)) or max_uses < 0):
-        raise DomainError(f"max_uses must be a non-negative int, got {max_uses!r}")
     if isinstance(delta, str):
         if delta != "optimal":
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
     k = params.k
-    codec._check_use_bound(params, log2_messages, max_uses)
+    max_uses = codec._check_use_bound(params, log2_messages, max_uses)
     coder = codec.ArrayCodec(params)
     uses = np.zeros(trials, dtype=np.int64)
     delivered = np.zeros(trials, dtype=bool)

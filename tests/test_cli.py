@@ -302,6 +302,20 @@ class TestOracle:
         assert (code, err) == (3, "")
         assert json.loads(out)["pass"] is False
 
+    def test_upper_bound_is_proved(self, capsys, monkeypatch):
+        # an upper bound below the maximum fails, though the grid agrees, lies
+        # below it, and it is within 1e-12 of the solver's value: F(upper) > 0
+        def below_the_maximum(eps, k):
+            res = feedback_capacity(eps, k)
+            return dataclasses.replace(res, upper=res.value - 1e-9)
+
+        monkeypatch.setattr(cli.cap, "feedback_capacity", below_the_maximum)
+        code, out, err = run_cli(capsys, ["oracle", "--k", "2", "--epsilon", "0.5", "--grid-n", "11"])
+        assert (code, err) == (3, "")
+        doc = json.loads(out)
+        assert doc["pass"] is False
+        assert doc["abs_gap"] <= doc["bound"] and doc["grid_value"] <= doc["upper_bound"]
+
     @pytest.mark.parametrize("grid_n", ["1", "10000001"])
     def test_grid_n_out_of_range(self, capsys, grid_n):
         code, out, err = run_cli(

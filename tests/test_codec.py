@@ -270,15 +270,19 @@ class TestTransmit:
     def test_decoder_replays_from_outputs_alone(self):
         p = params_k2((0.4, 0.25), eps=0.3)
         rng = np.random.default_rng(7)
-        channel = lambda x: None if rng.random() < 0.3 else x
-        transcript = []
-        m_hat, uses, _ = transmit_message(23, 64, p, channel, transcript=transcript)
+        outputs = []
+
+        def channel(x):  # it sees every use, so it records the outputs
+            outputs.append(None if rng.random() < 0.3 else x)
+            return outputs[-1]
+
+        m_hat, uses, _ = transmit_message(23, 64, p, channel)
         label, lo, hi = label_of(0), 0, 64
-        for _, y in transcript:
+        for y in outputs:
             lo, hi = update_live(label, lo, hi, y, p)
             label = next_label(label, y, p.k)
         assert hi - lo == 1 and lo == m_hat == 23
-        assert len(transcript) == uses
+        assert len(outputs) == uses
 
     def test_use_budget(self):
         with pytest.raises(UseBudgetExceeded):

@@ -33,12 +33,19 @@ from oracles import renewal_rate_d_inf, trial_stream
 GOLDEN = 0.6942419136306173  # log2 of the golden ratio
 
 
+def erased(raw, epsilon):
+    """The engine's erasure decision for each 64-bit draw raw: its top 53
+    bits below sim._threshold(epsilon)."""
+    return raw >> 11 < sim._threshold(epsilon)
+
+
 def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, max_uses=None):
     """run_feedback_sim one trial at a time: the scalar codec over a
     channel that replays the trial's stream (trial_stream: the message
     from its first draw, then one draw per use, erased when random() <
-    epsilon), then replays of each transcript for the (0,k) constraint,
-    the rule histogram and the erasure count."""
+    epsilon), which records each use's (x, y), then replays of each
+    transcript for the (0,k) constraint, the rule histogram and the
+    erasure count."""
     if delta == "optimal":
         delta = feedback_capacity(epsilon, k).argmax.delta
     params = SchemeParams(epsilon, k, tuple(delta))
@@ -50,14 +57,14 @@ def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, ma
     for t in range(trials):
         stream = trial_stream(seed, t)
         m = stream() >> (64 - log2_messages)
+        transcript = []
 
         def channel(x):
-            return None if (stream() >> 11) * 2.0 ** -53 < epsilon else x
+            transcript.append((x, None if (stream() >> 11) * 2.0 ** -53 < epsilon else x))
+            return transcript[-1][1]
 
-        transcript = []
         try:
-            m_hat, uses, x_seq = transmit_message(
-                m, n, params, channel, max_uses=max_uses, transcript=transcript)
+            m_hat, uses, x_seq = transmit_message(m, n, params, channel, max_uses=max_uses)
             errors += m_hat != m
             rates.append(log2_messages / uses)
         except UseBudgetExceeded:
@@ -119,12 +126,12 @@ class TestBecChannel:
     def test_erasure_threshold_is_strict(self):
         # random() equal to epsilon is delivered, as in BecChannel
         raw = np.array([1 << 11, 3 << 11, 2**64 - 1], dtype=np.uint64)
-        assert sim._erased(raw, 3 * 2.0**-53).tolist() == [True, False, False]
-        assert sim._erased(raw, 1.0).tolist() == [True, True, True]
+        assert erased(raw, 3 * 2.0**-53).tolist() == [True, False, False]
+        assert erased(raw, 1.0).tolist() == [True, True, True]
         # the extreme thresholds: random() = 0 below the least subnormal,
         # and the largest random() not below its own value
-        assert sim._erased(raw - (1 << 11), 5e-324).tolist() == [True, False, False]
-        assert sim._erased(raw, 1.0 - 2.0**-53).tolist() == [True, True, False]
+        assert erased(raw - (1 << 11), 5e-324).tolist() == [True, False, False]
+        assert erased(raw, 1.0 - 2.0**-53).tolist() == [True, True, False]
 
     def test_erasure_fraction(self):
         # the channel's decisions are these draws (test_one_draw_per_use)
@@ -153,7 +160,7 @@ class TestTrialStreams:
                 expected = [stream() for _ in range(draws)]
                 assert row.tolist() == expected
                 for eps in (0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0 ** -53, 1.0):
-                    assert sim._erased(row, eps).tolist() == [(r >> 11) * 2.0 ** -53 < eps for r in expected]
+                    assert erased(row, eps).tolist() == [(r >> 11) * 2.0 ** -53 < eps for r in expected]
 
     def test_adjacent_trials_are_independent(self):
         # a start state of key + t * gamma would make trial t + 1's stream
@@ -166,7 +173,7 @@ class TestTrialStreams:
             for first in (0, 2**32 - 16):
                 _, state = sim._streams(seed, np.arange(first, first + 32, dtype=np.uint64), 62)
                 raw = np.array([sim._draw(state) for _ in range(draws)]).T
-                signs = np.where(sim._erased(raw, 0.5), 1.0, -1.0)
+                signs = np.where(erased(raw, 0.5), 1.0, -1.0)
                 for a, b, sa, sb in zip(raw[:-1], raw[1:], signs[:-1], signs[1:]):
                     assert not np.isin(a, b).any()
                     for x, y in ((sa, sb), (sa[1:], sb[:-1]), (sa[:-1], sb[1:])):
@@ -246,10 +253,6 @@ class TestRunFeedbackSim:
             assert run_feedback_sim(k, 0.3, 8, 5) == run_feedback_sim(2, 0.3, 8, 5)
             delta = feedback_capacity(0.3, 2).argmax.delta
             assert run_feedback_sim(k, 0.3, 8.0, np.int64(5), delta=delta) == run_feedback_sim(2, 0.3, 8, 5)
-        # a negative cap once censored every trial; 0 stays valid
-        for max_uses in (-3, 2.5, "10"):
-            with pytest.raises(DomainError, match="max_uses"):
-                run_feedback_sim(1, 0.0, 8, 1, max_uses=max_uses)
         # k up to 10**5 passes the domain checks, one more fails them before
         # any trial runs
         class Building(Exception):
@@ -308,6 +311,28 @@ class TestRunFeedbackSim:
         assert abs(rep.erasures - 0.3 * rep.total_uses) <= 4 * sigma
 
 
+class TestSessionCap:
+    # codec._check_use_bound sets the cap of a transmit_message session and
+    # of every run_feedback_sim trial, so both take and refuse the same ones
+    @pytest.mark.parametrize("max_uses", [-3, 2.5, "10"])
+    def test_both_refuse_a_bad_cap(self, max_uses):
+        params = feedback_capacity(0.3, 2).argmax
+        with pytest.raises(DomainError, match="max_uses must be a non-negative int"):
+            transmit_message(0, 8, params, lambda x: x, max_uses=max_uses)
+        with pytest.raises(DomainError, match="max_uses must be a non-negative int"):
+            run_feedback_sim(2, 0.3, 3, 1, max_uses=max_uses)
+
+    @pytest.mark.parametrize("max_uses", [0, np.int64(7)])
+    def test_both_accept_an_int_cap(self, max_uses):
+        sent = []
+        with pytest.raises(UseBudgetExceeded, match=f"after {max_uses} uses"):
+            transmit_message(0, 8, SchemeParams(1.0, 2, (0.4, 0.3)), sent.append, max_uses=max_uses)
+        assert len(sent) == max_uses
+        rep = run_feedback_sim(2, 1.0, 3, 4, delta=(0.4, 0.3), max_uses=max_uses)
+        assert rep.censored == 4 and rep.total_uses == 4 * max_uses
+        assert rep == reference_sim(2, 1.0, 3, 4, (0.4, 0.3), max_uses=max_uses)
+
+
 # (k, epsilon, log2_messages, trials, delta, max_uses)
 REFERENCE_CONFIGS = [
     (1, 0.0, 62, 13, "optimal", None),
@@ -329,6 +354,16 @@ class TestAgainstReference:
     @pytest.mark.parametrize("k, eps, log2_messages, trials, delta, max_uses", REFERENCE_CONFIGS)
     def test_report_equals_per_trial_run(self, k, eps, log2_messages, trials, delta, max_uses):
         got = run_feedback_sim(k, eps, log2_messages, trials, delta=delta, seed=3, max_uses=max_uses)
+        assert got == reference_sim(k, eps, log2_messages, trials, delta, seed=3, max_uses=max_uses)
+
+    @pytest.mark.parametrize("row", [1, 8])
+    def test_default_cap_ends_a_trial_where_transmit_message_would(self, row, monkeypatch):
+        # at 1, not 1000, times the expected uses, transmit_message's default
+        # cap censors some sessions, and the engine censors the same trials
+        monkeypatch.setattr(codec, "_CAP_PER_EXPECTED_USE", 1)
+        k, eps, log2_messages, trials, delta, max_uses = REFERENCE_CONFIGS[row]
+        got = run_feedback_sim(k, eps, log2_messages, trials, delta=delta, seed=3, max_uses=max_uses)
+        assert got.censored > 0
         assert got == reference_sim(k, eps, log2_messages, trials, delta, seed=3, max_uses=max_uses)
 
     def test_constraint_check_sees_the_bits_sent(self, monkeypatch):
