@@ -40,7 +40,7 @@ import numpy as np
 
 __all__ = ["CapacityResult", "DomainError", "SchemeParams", "capacity_12",
            "capacity_curve", "capacity_curves", "delta_chain", "fb_upper_2inf",
-           "feedback_capacity", "grid_argmax_rate", "grid_max_rate", "h2",
+           "feedback_capacity", "feedback_surplus", "grid_argmax_rate", "grid_max_rate", "h2",
            "nc_capacity_d_inf", "rate", "stationarity_residual"]
 
 
@@ -359,6 +359,16 @@ def feedback_capacity(epsilon: float, k: int) -> CapacityResult:
     epsilon = 1 returns exactly 0 with every delta_j = 1/2.
     """
     return _solve("fb0k", epsilon, k)
+
+
+def feedback_surplus(epsilon: float, k: int, level: float) -> float:
+    """F(level) = max over the cube of N - level*D for feedback_capacity's
+    ratio, from one float pass of _zero_run. Below 0, no delta in [0, 1]^k
+    has a rate of level or more, up to the pass's rounding: a float check,
+    not a proof."""
+    _check_eps(epsilon)
+    k, weight, _ = _as_zero_run("fb0k", 1.0 - epsilon, k)
+    return _zero_run(weight, k, level, _stage)[0]
 
 
 def grid_argmax_rate(epsilon: float, k: int, grid_n: int):

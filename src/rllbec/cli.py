@@ -171,9 +171,8 @@ def cmd_oracle(args) -> int:
     grid_val = cap.grid_max_rate(args.epsilon, args.k, args.grid_n)
     gap = abs(one.value - grid_val)
     bound = 5e-4 if args.k <= 2 else 2e-3
-    # F(upper) < 0, one zero-run pass at upper, proves no point of the cube beats upper
-    proof = cap._zero_run(1.0 - args.epsilon, one.argmax.k, one.upper, cap._stage)[0]
-    ok = gap <= bound and grid_val <= one.upper and proof < 0 and one.upper - one.value <= 1e-12
+    ok = (gap <= bound and grid_val <= one.upper and one.upper - one.value <= 1e-12
+          and cap.feedback_surplus(args.epsilon, args.k, one.upper) < 0)  # a float check
     print(_emit_json({
         "one_dim_value": one.value,
         "upper_bound": one.upper,

@@ -155,7 +155,8 @@ def _check_use_bound(params: SchemeParams, log2_messages: float, max_uses) -> in
     of sim.run_feedback_sim: max_uses, which must be a non-negative int, or
     without one 1000 * ceil(log2_messages / rate), 1000 times the expected
     uses, which needs a rate promising at most 1e6 of them; a zero rate
-    (epsilon = 1, or delta_0 = 0 without erasures) never would."""
+    (epsilon = 1, or delta_0 = 0 without erasures) never would. params is
+    read only without max_uses."""
     if max_uses is not None:
         if not isinstance(max_uses, (int, np.integer)) or max_uses < 0:
             raise DomainError(f"max_uses must be a non-negative int, got {max_uses!r}")

@@ -113,10 +113,15 @@ def _streams(seed: int, t, log2_messages: int):
 
 
 def _threshold(epsilon: float):
-    """ceil(epsilon * 2**53) as a uint64: a 64-bit draw raw is erased when
-    raw >> 11 lies below it, which is random() < epsilon exactly for
-    random() = (raw >> 11) * 2**-53, as numpy's and BecChannel's."""
+    """ceil(epsilon * 2**53) as a uint64: _erased's threshold for epsilon."""
     return np.uint64(math.ceil(epsilon * 2.0 ** 53))
+
+
+def _erased(raw, threshold):
+    """random() < epsilon for each 64-bit draw raw, where random() is
+    (raw >> 11) * 2**-53, as numpy's and BecChannel's: so raw >> 11 <
+    ceil(epsilon * 2**53) = threshold exactly."""
+    return raw >> 11 < threshold
 
 
 def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
@@ -124,9 +129,10 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
     """Run trials first, ..., first + count - 1 to their ends, all at once.
 
     Each pass of the loop is one channel use of every unfinished trial,
-    and one draw of each one's stream (_streams), erased as _threshold
-    says. Writes each trial's uses, and whether it decoded before the cap,
-    into `uses` and `delivered`; adds the uses under each rule to `hist`.
+    and one draw of each one's stream (_streams), which _erased turns
+    into its erasure decision. Writes each trial's uses, and whether it
+    decoded before the cap, into `uses` and `delivered`; adds the uses
+    under each rule to `hist`.
 
     Returns:
         (errors, violations, erasures) among these trials.
@@ -145,7 +151,7 @@ def _lockstep(coder, k, log2_messages, epsilon, seed, first, count, max_uses,
             uses[first + row] = step
             violations += int(np.count_nonzero(bad))
             break
-        e = _draw(state) >> 11 < threshold
+        e = _erased(_draw(state), threshold)
         n_erased += int(np.count_nonzero(e))
         hist += np.bincount(label, minlength=hist.size)
         x, label, lo, hi = coder.step(label, lo, hi, m, e)
@@ -204,6 +210,8 @@ def run_feedback_sim(k: int, epsilon: float, log2_messages: int, trials: int,
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a non-negative int, got {seed!r}")
     seed = int(seed)
+    if max_uses is not None:  # a bad cap fails before the "optimal" solve
+        max_uses = codec._check_use_bound(None, log2_messages, max_uses)
     if isinstance(delta, str):
         if delta != "optimal":
             raise DomainError(f"delta must be a vector or 'optimal', got {delta!r}")

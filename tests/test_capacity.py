@@ -313,6 +313,20 @@ class TestCertificate:
             res = feedback_capacity(eps, k)
             assert capacity._zero_run(1.0 - eps, k, res.upper, _stage)[0] < 0
 
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_feedback_surplus_is_one_zero_run_pass(self, k):
+        # the oracle's float check of upper: the sign of F at 50 digits, off
+        # the 1e-14 margin, and the one pass the large-k test above runs
+        for eps in (0.0, 0.3, 0.999):
+            res = feedback_capacity(eps, k)
+            for level in (res.upper, res.value - 1e-9):
+                surplus = capacity.feedback_surplus(eps, k, level)
+                assert surplus == capacity._zero_run(1.0 - eps, k, level, _stage)[0]
+                assert (surplus < 0) == (dual_mp(eps, k, level) < 0) == (level == res.upper)
+        for eps, k in ((1.5, 2), (0.3, 0), (0.3, 10 ** 5 + 1)):
+            with pytest.raises(DomainError):
+                capacity.feedback_surplus(eps, k, 0.5)
+
     def test_curves_stay_below_upper(self):
         # a pass at each column's upper, value + _MARGIN in the zero-run
         # rate's units, gives F < 0 in every cell

@@ -302,7 +302,7 @@ class TestOracle:
         assert (code, err) == (3, "")
         assert json.loads(out)["pass"] is False
 
-    def test_upper_bound_is_proved(self, capsys, monkeypatch):
+    def test_upper_bound_below_the_maximum_fails(self, capsys, monkeypatch):
         # an upper bound below the maximum fails, though the grid agrees, lies
         # below it, and it is within 1e-12 of the solver's value: F(upper) > 0
         def below_the_maximum(eps, k):

@@ -33,12 +33,6 @@ from oracles import renewal_rate_d_inf, trial_stream
 GOLDEN = 0.6942419136306173  # log2 of the golden ratio
 
 
-def erased(raw, epsilon):
-    """The engine's erasure decision for each 64-bit draw raw: its top 53
-    bits below sim._threshold(epsilon)."""
-    return raw >> 11 < sim._threshold(epsilon)
-
-
 def reference_sim(k, epsilon, log2_messages, trials, delta="optimal", seed=0, max_uses=None):
     """run_feedback_sim one trial at a time: the scalar codec over a
     channel that replays the trial's stream (trial_stream: the message
@@ -126,12 +120,12 @@ class TestBecChannel:
     def test_erasure_threshold_is_strict(self):
         # random() equal to epsilon is delivered, as in BecChannel
         raw = np.array([1 << 11, 3 << 11, 2**64 - 1], dtype=np.uint64)
-        assert erased(raw, 3 * 2.0**-53).tolist() == [True, False, False]
-        assert erased(raw, 1.0).tolist() == [True, True, True]
+        assert sim._erased(raw, sim._threshold(3 * 2.0**-53)).tolist() == [True, False, False]
+        assert sim._erased(raw, sim._threshold(1.0)).tolist() == [True, True, True]
         # the extreme thresholds: random() = 0 below the least subnormal,
         # and the largest random() not below its own value
-        assert erased(raw - (1 << 11), 5e-324).tolist() == [True, False, False]
-        assert erased(raw, 1.0 - 2.0**-53).tolist() == [True, True, False]
+        assert sim._erased(raw - (1 << 11), sim._threshold(5e-324)).tolist() == [True, False, False]
+        assert sim._erased(raw, sim._threshold(1.0 - 2.0**-53)).tolist() == [True, True, False]
 
     def test_erasure_fraction(self):
         # the channel's decisions are these draws (test_one_draw_per_use)
@@ -160,7 +154,8 @@ class TestTrialStreams:
                 expected = [stream() for _ in range(draws)]
                 assert row.tolist() == expected
                 for eps in (0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0 ** -53, 1.0):
-                    assert erased(row, eps).tolist() == [(r >> 11) * 2.0 ** -53 < eps for r in expected]
+                    want = [(r >> 11) * 2.0 ** -53 < eps for r in expected]
+                    assert sim._erased(row, sim._threshold(eps)).tolist() == want
 
     def test_adjacent_trials_are_independent(self):
         # a start state of key + t * gamma would make trial t + 1's stream
@@ -173,7 +168,7 @@ class TestTrialStreams:
             for first in (0, 2**32 - 16):
                 _, state = sim._streams(seed, np.arange(first, first + 32, dtype=np.uint64), 62)
                 raw = np.array([sim._draw(state) for _ in range(draws)]).T
-                signs = np.where(erased(raw, 0.5), 1.0, -1.0)
+                signs = np.where(sim._erased(raw, sim._threshold(0.5)), 1.0, -1.0)
                 for a, b, sa, sb in zip(raw[:-1], raw[1:], signs[:-1], signs[1:]):
                     assert not np.isin(a, b).any()
                     for x, y in ((sa, sb), (sa[1:], sb[:-1]), (sa[:-1], sb[1:])):
@@ -321,6 +316,21 @@ class TestSessionCap:
             transmit_message(0, 8, params, lambda x: x, max_uses=max_uses)
         with pytest.raises(DomainError, match="max_uses must be a non-negative int"):
             run_feedback_sim(2, 0.3, 3, 1, max_uses=max_uses)
+
+    def test_a_bad_cap_fails_before_the_solve(self, monkeypatch):
+        # as before the one cap check: after the seed, before delta and before
+        # the "optimal" solve, which a bad cap never waits for
+        def solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(sim, "feedback_capacity", solve)
+        for delta in ("optimal", "best"):
+            with pytest.raises(DomainError, match="max_uses must be a non-negative int"):
+                run_feedback_sim(2, 0.3, 8, 1, delta=delta, max_uses=-1)
+        with pytest.raises(DomainError, match="seed"):
+            run_feedback_sim(2, 0.3, 8, 1, seed=-1, max_uses=-1)
+        with pytest.raises(AssertionError, match="solved"):
+            run_feedback_sim(2, 0.3, 8, 1, max_uses=5)
 
     @pytest.mark.parametrize("max_uses", [0, np.int64(7)])
     def test_both_accept_an_int_cap(self, max_uses):
